@@ -3,6 +3,9 @@
 Every check is an integer comparison in cross-multiplied form (6*gamma >= S3,
 not gamma >= S3/6), with the bound value also carried as an exact Fraction.
 Equality detection therefore never depends on floating point.
+
+The triple bound and the r-subset bound for r = 3 are the same quantity
+(6 = 3*2), so report assembly scans the triples once and reports both.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .distance import (
@@ -110,7 +114,45 @@ def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     )
 
 
-def _max_pair_sum(dm: DistanceMatrix, subsets) -> tuple[int, tuple[int, ...]]:
+def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
+    """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
+    the lexicographically first r-subset attaining it.
+
+    Subsets are walked in lexicographic order.  A prefix carries its pair
+    sum and, per vertex, the summed distance to the prefix, so the last
+    three slots are plain nested loops that add O(1) per subset.
+    """
+    d = dm.d
+    n = dm.n
+    best = -1
+    best_subset: tuple[int, ...] = ()
+    prefix: list[int] = []
+
+    def walk(start: int, partial: int, to_prefix: list[int], left: int) -> None:
+        nonlocal best, best_subset
+        if left > 3:
+            for v in range(start, n - left + 1):
+                prefix.append(v)
+                walk(v + 1, partial + to_prefix[v], list(map(add, to_prefix, d[v])), left - 1)
+                prefix.pop()
+            return
+        for i in range(start, n - 2):
+            di = d[i]
+            si = partial + to_prefix[i]
+            for j in range(i + 1, n - 1):
+                dj = d[j]
+                sij = si + to_prefix[j] + di[j]
+                for k in range(j + 1, n):
+                    total = sij + to_prefix[k] + di[k] + dj[k]
+                    if total > best:
+                        best = total
+                        best_subset = (*prefix, i, j, k)
+
+    walk(0, 0, [0] * n, r)
+    return best, best_subset
+
+
+def _sampled_max_pair_sum(dm: DistanceMatrix, subsets) -> tuple[int, tuple[int, ...]]:
     best = -1
     best_subset: tuple[int, ...] = ()
     d = dm.d
@@ -126,7 +168,7 @@ def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """6*gamma >= max over triples of the three pairwise distances."""
     if dm.n < 3:
         return _skipped(BOUND_TRIPLE, "requires n >= 3")
-    s3, triple = _max_pair_sum(dm, combinations(range(dm.n), 3))
+    s3, triple = _max_pair_sum(dm, 3)
     return _check(
         BOUND_TRIPLE, gamma, s3, 6, triple,
         {"pair_sum": s3, "margin": 6 * gamma - s3},
@@ -139,18 +181,23 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
     A witness with a distance not congruent to 2 mod 3 contradicts the
     equality corollary and is treated as fatal by report assembly.
     """
-    if dm.n < 3:
-        return ()
+    n = dm.n
     d = dm.d
+    target = 6 * gamma
     found = []
-    for i, j, k in combinations(range(dm.n), 3):
-        dists = (d[i][j], d[i][k], d[j][k])
-        if sum(dists) == 6 * gamma:
-            found.append(TripleEquality(
-                triple=(i, j, k),
-                dists=dists,
-                mod3_ok=all(x % 3 == 2 for x in dists),
-            ))
+    for i in range(n - 2):
+        di = d[i]
+        for j in range(i + 1, n - 1):
+            dj = d[j]
+            need = target - di[j]
+            for k in range(j + 1, n):
+                if di[k] + dj[k] == need:
+                    dists = (di[j], di[k], dj[k])
+                    found.append(TripleEquality(
+                        triple=(i, j, k),
+                        dists=dists,
+                        mod3_ok=all(x % 3 == 2 for x in dists),
+                    ))
     return tuple(found)
 
 
@@ -169,18 +216,24 @@ def r_subset_lb(
     """r(r-1)*gamma >= max over r-subsets of the summed pairwise distances.
 
     Exhaustive while C(n, r) fits the budget; beyond that only sampled
-    subsets are checked, which can verify but never refute.
+    subsets are checked.  A sample's maximum is at most the true maximum,
+    so a sampled check can refute the bound but never verify it: its
+    holds=True is not a proof.
     """
     n = dm.n
     if r < 3 or r > n:
         raise BadR(f"r={r} outside 3..{n}")
     if math.comb(n, r) <= subset_budget:
         method = "exhaustive"
-        subsets = combinations(range(n), r)
+        s_r, subset = _max_pair_sum(dm, r)
     else:
         method = "sampled"
-        subsets = _sampled_subsets(n, r, sample_count)
-    s_r, subset = _max_pair_sum(dm, subsets)
+        s_r, subset = _sampled_max_pair_sum(dm, _sampled_subsets(n, r, sample_count))
+    return _r_subset_check(gamma, r, s_r, subset, method)
+
+
+def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...],
+                    method: str) -> BoundCheck:
     return _check(
         r_subset_bound_name(r), gamma, s_r, r * (r - 1), subset,
         {"r": r, "pair_sum": s_r, "method": method,
@@ -296,16 +349,21 @@ def assemble_report(
 ) -> BoundReport:
     """Solve gamma and run every configured check; any failure marks it fatal."""
     dm = all_pairs_distances(g)
-    result = gamma_exact(g, dm)
+    result = gamma_exact(g)
     gamma = result.gamma
     bi = boundary_and_set_ecc(g, dm)
 
-    checks = [diameter_lb(gamma, dm), best_triple_lb(gamma, dm)]
+    triple = best_triple_lb(gamma, dm)
+    checks = [diameter_lb(gamma, dm), triple]
     for r in sorted(set(rs)):
         if r < 3:
             raise BadR(f"configured r={r} < 3")
         if r > g.n:
             checks.append(_skipped(r_subset_bound_name(r), f"r={r} exceeds n={g.n}"))
+        elif r == 3 and math.comb(g.n, 3) <= subset_budget:
+            # the exhaustive r = 3 scan is the triple scan just made
+            s3 = triple.detail["pair_sum"]
+            checks.append(_r_subset_check(gamma, 3, s3, triple.witness, "exhaustive"))
         else:
             checks.append(r_subset_lb(gamma, dm, r, subset_budget, sample_count))
     checks.append(average_distance_lb(gamma, g, dm))

@@ -2,9 +2,10 @@
 
 Closed neighborhoods are fixed-width bit masks over the vertices, so a
 domination test is a mask union.  gamma_exact runs a branch-and-bound on the
-set-cover formulation; gamma_bruteforce_oracle enumerates subsets by
-increasing size and shares no code with the solver beyond the masks, which
-keeps it useful as an independent check.
+set-cover formulation, pruned only by a counting bound;
+gamma_bruteforce_oracle enumerates subsets by increasing size and shares no
+code with the solver beyond the masks, which keeps it useful as an
+independent check.  The masks are built once per Graph (Graph.closed_masks).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .distance import DistanceMatrix, all_pairs_distances
 from .errors import TooLarge
 from .graphs import Graph
 
@@ -29,14 +29,9 @@ class DominationResult:
     all_min_sets: tuple[tuple[int, ...], ...] | None = None
 
 
-def closed_neighborhood_masks(g: Graph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
+def closed_neighborhood_masks(g: Graph) -> tuple[int, ...]:
+    """Bit mask of N[v] for every vertex v, shared by every caller for g."""
+    return g.closed_masks
 
 
 def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
@@ -48,20 +43,6 @@ def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     for v in vertices:
         covered |= masks[v]
     return covered == (1 << g.n) - 1
-
-
-def _distance_lower_bound(g: Graph, dm: DistanceMatrix) -> int:
-    """Largest distance-based lower bound on gamma: diameter and best-triple forms."""
-    lb = (dm.diam + 3) // 3  # ceil((diam + 1) / 3)
-    if g.n >= 3:
-        best = 0
-        d = dm.d
-        for i, j, k in combinations(range(g.n), 3):
-            s3 = d[i][j] + d[i][k] + d[j][k]
-            if s3 > best:
-                best = s3
-        lb = max(lb, (best + 5) // 6)  # ceil(S3 / 6)
-    return max(lb, 1)
 
 
 def _greedy_cover(n: int, masks: Sequence[int], full: int) -> list[int]:
@@ -80,13 +61,14 @@ def _greedy_cover(n: int, masks: Sequence[int], full: int) -> list[int]:
     return chosen
 
 
-def gamma_exact(g: Graph, dm: DistanceMatrix | None = None) -> DominationResult:
+def gamma_exact(g: Graph) -> DominationResult:
     """Exact gamma via branch-and-bound set cover over closed neighborhoods.
 
     Branching: take an uncovered vertex with the fewest coverage options
     (its closed neighborhood; ties to the lowest index) and branch on which
-    neighbor covers it.  A greedy cover seeds the incumbent; the distance
-    lower bounds may stop the search early but cannot change the result.
+    neighbor covers it.  A greedy cover seeds the incumbent.  A branch is cut
+    when |chosen| + ceil(|uncovered| / max gain) reaches the incumbent, where
+    max gain is the most uncovered vertices one closed neighborhood covers.
     """
     n = g.n
     masks = closed_neighborhood_masks(g)
@@ -96,37 +78,34 @@ def gamma_exact(g: Graph, dm: DistanceMatrix | None = None) -> DominationResult:
     best_size = len(greedy)
     best_set = tuple(sorted(greedy))
 
-    if dm is None:
-        dm = all_pairs_distances(g)
-    lower = _distance_lower_bound(g, dm)
-
-    closed_sorted = [sorted(g.adj[v] | {v}) for v in range(n)]
     chosen: list[int] = []
 
     def dfs(covered: int) -> None:
         nonlocal best_size, best_set
-        if best_size <= lower:
-            return
         if covered == full:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = tuple(sorted(chosen))
             return
         uncovered = full & ~covered
-        max_gain = max((masks[v] & uncovered).bit_count() for v in range(n))
+        max_gain = max((m & uncovered).bit_count() for m in masks)
         if len(chosen) + -(-uncovered.bit_count() // max_gain) >= best_size:
             return
         # smallest closed neighborhood among uncovered vertices, lowest index first
         branch_vertex = -1
         branch_options = n + 2
-        for v in range(n):
-            if uncovered >> v & 1 and len(closed_sorted[v]) < branch_options:
-                branch_options = len(closed_sorted[v])
+        for v, m in enumerate(masks):
+            if uncovered >> v & 1 and m.bit_count() < branch_options:
+                branch_options = m.bit_count()
                 branch_vertex = v
-        for u in closed_sorted[branch_vertex]:
+        options = masks[branch_vertex]
+        while options:  # the members of N[branch_vertex], in increasing order
+            low = options & -options
+            u = low.bit_length() - 1
             chosen.append(u)
             dfs(covered | masks[u])
             chosen.pop()
+            options ^= low
 
     dfs(0)
     return DominationResult(gamma=best_size, witness=best_set)

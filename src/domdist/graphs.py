@@ -8,7 +8,7 @@ downstream assumes a connected graph of order >= 2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -24,7 +24,7 @@ GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Connected simple graph on vertices 0..n-1 with per-vertex neighbor sets.
 
@@ -35,6 +35,9 @@ class Graph:
 
     n: int
     adj: tuple[frozenset[int], ...]
+    # filled on first use by closed_masks; with slots, a Graph holding its
+    # masks stays smaller than a dict-backed one (corpora hold thousands)
+    _masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -52,6 +55,19 @@ class Graph:
         if not self._is_connected():
             raise Disconnected("graph is not connected")
 
+    @property
+    def closed_masks(self) -> tuple[int, ...]:
+        """Closed neighborhood N[v] of every vertex as a bit mask, built once."""
+        if self._masks is None:
+            masks = []
+            for v, nbrs in enumerate(self.adj):
+                m = 1 << v
+                for u in nbrs:
+                    m |= 1 << u
+                masks.append(m)
+            object.__setattr__(self, "_masks", tuple(masks))
+        return self._masks
+
     def _is_connected(self) -> bool:
         seen = {0}
         queue = deque([0])
@@ -65,15 +81,25 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge iterable; duplicate edges collapse."""
+        """Build a graph from an edge iterable; duplicate edges collapse.
+
+        A connected graph of order n has at least n - 1 edges, so a shorter
+        edge list raises Disconnected before the n neighbor sets are
+        allocated: memory follows the length of the input, never an order
+        read from a header.
+        """
         if n < 2:
             raise OrderTooSmall(f"graph order {n} < 2")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
+        if len(edges) < n - 1:
+            raise Disconnected(f"{len(edges)} edges cannot connect {n} vertices")
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(n, tuple(frozenset(s) for s in nbrs))

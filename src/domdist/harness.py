@@ -250,7 +250,7 @@ def counterexample_demo() -> CounterexampleReport:
     g = Graph.from_edges(6, COUNTEREXAMPLE_EDGES)
     dm = all_pairs_distances(g)
 
-    gamma = gamma_exact(g, dm).gamma
+    gamma = gamma_exact(g).gamma
     oracle_gamma = gamma_bruteforce_oracle(g).gamma
     s = COUNTEREXAMPLE_GAMMA_SET
     gamma_set_ok = gamma == oracle_gamma == len(s) and is_dominating_set(g, s)

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
+from .domination import ENUMERATION_CAP, gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import NotAGammaSet
 from .graphs import Graph
-
-ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)

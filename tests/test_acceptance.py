@@ -111,7 +111,7 @@ def test_criterion_4_mod3_corollary(reports):
 
     sp = spider(4, 4, 4)
     dm = all_pairs_distances(sp)
-    gamma = gamma_exact(sp, dm).gamma
+    gamma = gamma_exact(sp).gamma
     leaf_dists = sorted(
         (dm.d[u][v] for u in (4, 8, 12) for v in (4, 8, 12) if u < v)
     )
@@ -167,7 +167,7 @@ def test_criterion_6_boundary_tightness(corpora):
                 if bi.ecc_of_boundary != 0:
                     bad.append(g)
                 # bound is 1/2 here, trivially below gamma >= 1
-                if 2 * gamma_exact(g, dm).gamma < 1:
+                if 2 * gamma_exact(g).gamma < 1:
                     bad.append(g)
     ok = star_ok and not bad and full_boundary > 0
     _verdict(

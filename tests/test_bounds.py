@@ -1,5 +1,7 @@
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,16 @@ from graphutil import (
 
 def _dm(g):
     return all_pairs_distances(g)
+
+
+def _first_max_pair_sum(dm, r):
+    """Plain reference: the first r-subset in lexicographic order with the largest sum."""
+    best, best_subset = -1, ()
+    for subset in combinations(range(dm.n), r):
+        total = sum(dm.d[u][v] for u, v in combinations(subset, 2))
+        if total > best:
+            best, best_subset = total, subset
+    return best, best_subset
 
 
 class TestDiameterBound:
@@ -235,6 +247,25 @@ class TestAssembleReport:
         assert by_name["triple"].skipped
         assert all(by_name[f"r-subset:{r}"].skipped for r in (3, 4, 5))
         assert not rep.fatal
+
+    def test_shared_triple_scan_matches_r_subset_lb(self, corpus):
+        for n in range(3, 8):
+            for g in corpus(n):
+                rep = assemble_report(g)
+                dm = _dm(g)
+                assert rep.check("r-subset:3") == r_subset_lb(rep.gamma, dm, 3)
+                for r in range(3, n + 1):
+                    c = r_subset_lb(rep.gamma, dm, r)
+                    assert (c.detail["pair_sum"], c.witness) == _first_max_pair_sum(dm, r)
+                    if r in (4, 5):
+                        assert rep.check(f"r-subset:{r}") == c
+
+    def test_r3_over_budget_is_still_sampled(self):
+        g = spider(3, 3, 2)
+        rep = assemble_report(g, subset_budget=math.comb(g.n, 3) - 1)
+        r3 = rep.check("r-subset:3")
+        assert r3.detail["method"] == "sampled"
+        assert r3.detail["pair_sum"] <= rep.check("triple").detail["pair_sum"]
 
     def test_configured_r_below_three_rejected(self):
         with pytest.raises(BadR):

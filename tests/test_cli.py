@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,12 @@ class TestAnalyze:
     def test_missing_edgelist_file_exits_2(self, capsys):
         assert main(["analyze", "nosuchfile.el", "--format", "edgelist"]) == 2
 
+    def test_huge_header_order_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.el"
+        path.write_text("n 200000\n0 1\n")
+        assert main(["analyze", str(path), "--format", "edgelist"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_bundled_corpus_passes(self, n4_corpus, capsys):
@@ -60,6 +68,17 @@ class TestVerify:
         assert main(["verify", n4_corpus, "--jsonl", str(a)]) == 0
         assert main(["verify", n4_corpus, "--jsonl", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jsonl_matches_golden_capture(self, tmp_path, capsys):
+        # the JSONL contract is byte-identical output: this pins the sha256
+        # and size of the whole n=7 report stream
+        corpus = Path(__file__).resolve().parent / "data" / "connected_n7.g6"
+        out_path = tmp_path / "n7.jsonl"
+        assert main(["verify", str(corpus), "--jsonl", str(out_path)]) == 0
+        data = out_path.read_bytes()
+        assert len(data) == 1_282_456
+        assert hashlib.sha256(data).hexdigest() == (
+            "1f79fee0d398878eaf52ed37a8f5741bfab0bdd92fc973654e24b8b76a4d9704")
 
     def test_bad_line_tolerated_by_default(self, tmp_path, capsys):
         corpus = tmp_path / "c.g6"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -45,6 +47,21 @@ class TestGraphConstruction:
         with pytest.raises(Disconnected):
             Graph.from_edges(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("edges, error", [
+        ([(0, 1)], Disconnected),
+        ([(0, 9)], VertexOutOfRange),
+        ([(1, 1)], SelfLoop),
+    ])
+    def test_too_few_edges_keep_per_edge_errors(self, edges, error):
+        # fewer than n - 1 edges: the edges are still checked first
+        with pytest.raises(error):
+            Graph.from_edges(5, edges)
+
+    def test_closed_masks_built_once(self):
+        g = path_graph(4)
+        assert g.closed_masks == (0b0011, 0b0111, 0b1110, 0b1100)
+        assert g.closed_masks is g.closed_masks
+
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ValueError):
             Graph(2, (frozenset({1}), frozenset()))
@@ -69,6 +86,16 @@ class TestParseEdgelist:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(Disconnected):
             parse_edgelist("n 3\n0 1")
+
+    def test_header_order_allocates_nothing_per_vertex(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Disconnected):
+                parse_edgelist("n 200000\n0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_comments_and_blank_lines(self):
         text = "# a path\nn 3\n\n0 1\n# middle\n1 2\n"
