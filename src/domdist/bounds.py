@@ -6,16 +6,17 @@ Equality detection therefore never depends on floating point.
 
 The triple bound and the r-subset bound for r = 3 are the same quantity
 (6 = 3*2), so report assembly scans the triples once and reports both.
+For r >= 4 the r-subset check is exhaustive while C(n, r) is at most
+DEFAULT_SUBSET_BUDGET; beyond that it is skipped with reason "budget" and
+holds=None, so every holds=True is proved over all r-subsets.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from operator import add
 from typing import Sequence
 
@@ -36,9 +37,7 @@ BOUND_AVERAGE_DISTANCE = "average-distance"
 BOUND_BOUNDARY_ECC = "boundary-ecc"
 
 DEFAULT_RS = (3, 4, 5)
-DEFAULT_SUBSET_BUDGET = 200_000  # exhaustive r-subset search iff C(n, r) fits
-DEFAULT_SAMPLE_COUNT = 200
-_SAMPLE_SEED = 0  # fixed seed: sampled mode must stay deterministic
+DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
 
 
 def r_subset_bound_name(r: int) -> str:
@@ -93,15 +92,20 @@ def _check(name: str, gamma: int, num: int, den: int,
     )
 
 
+def _first_diametral_pair(dm: DistanceMatrix) -> tuple[int, int]:
+    """The lexicographically first pair u < v with d(u, v) = diam."""
+    return min(
+        (u, v)
+        for u in range(dm.n) for v in range(u + 1, dm.n)
+        if dm.d[u][v] == dm.diam
+    )
+
+
 def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """ceil((diam + 1) / 3) <= gamma, checked as 3*gamma >= diam + 1."""
     diam = dm.diam
     lb = (diam + 3) // 3
-    pair = min(
-        (u, v)
-        for u in range(dm.n) for v in range(u + 1, dm.n)
-        if dm.d[u][v] == diam
-    )
+    pair = _first_diametral_pair(dm)
     value = Fraction(lb)
     return BoundCheck(
         name=BOUND_DIAMETER,
@@ -152,18 +156,6 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     return best, best_subset
 
 
-def _sampled_max_pair_sum(dm: DistanceMatrix, subsets) -> tuple[int, tuple[int, ...]]:
-    best = -1
-    best_subset: tuple[int, ...] = ()
-    d = dm.d
-    for subset in subsets:
-        total = sum(d[u][v] for u, v in combinations(subset, 2))
-        if total > best:
-            best = total
-            best_subset = tuple(subset)
-    return best, best_subset
-
-
 def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """6*gamma >= max over triples of the three pairwise distances."""
     if dm.n < 3:
@@ -201,42 +193,26 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
     return tuple(found)
 
 
-def _sampled_subsets(n: int, r: int, count: int) -> list[tuple[int, ...]]:
-    rng = random.Random(_SAMPLE_SEED)
-    return [tuple(sorted(rng.sample(range(n), r))) for _ in range(count)]
-
-
-def r_subset_lb(
-    gamma: int,
-    dm: DistanceMatrix,
-    r: int,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> BoundCheck:
+def r_subset_lb(gamma: int, dm: DistanceMatrix, r: int) -> BoundCheck:
     """r(r-1)*gamma >= max over r-subsets of the summed pairwise distances.
 
-    Exhaustive while C(n, r) fits the budget; beyond that only sampled
-    subsets are checked.  A sample's maximum is at most the true maximum,
-    so a sampled check can refute the bound but never verify it: its
-    holds=True is not a proof.
+    Every r-subset is scanned while C(n, r) <= DEFAULT_SUBSET_BUDGET.
+    Beyond that the check is skipped with reason "budget" (holds=None): a
+    bound is never reported as holding unless all r-subsets were scanned.
     """
     n = dm.n
     if r < 3 or r > n:
         raise BadR(f"r={r} outside 3..{n}")
-    if math.comb(n, r) <= subset_budget:
-        method = "exhaustive"
-        s_r, subset = _max_pair_sum(dm, r)
-    else:
-        method = "sampled"
-        s_r, subset = _sampled_max_pair_sum(dm, _sampled_subsets(n, r, sample_count))
-    return _r_subset_check(gamma, r, s_r, subset, method)
+    if math.comb(n, r) > DEFAULT_SUBSET_BUDGET:
+        return _skipped(r_subset_bound_name(r), "budget")
+    s_r, subset = _max_pair_sum(dm, r)
+    return _r_subset_check(gamma, r, s_r, subset)
 
 
-def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...],
-                    method: str) -> BoundCheck:
+def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...]) -> BoundCheck:
     return _check(
         r_subset_bound_name(r), gamma, s_r, r * (r - 1), subset,
-        {"r": r, "pair_sum": s_r, "method": method,
+        {"r": r, "pair_sum": s_r, "method": "exhaustive",
          "margin": r * (r - 1) * gamma - s_r},
     )
 
@@ -261,11 +237,7 @@ def boundary_ecc_lb(gamma: int, bi: BoundaryInfo, dm: DistanceMatrix) -> BoundCh
     r_ecc = bi.ecc_of_boundary
     detail: dict = {"R": r_ecc, "boundary": list(bi.boundary), "z": bi.witness}
     if len(bi.boundary) < dm.n:
-        x, y = min(
-            (u, v)
-            for u in range(dm.n) for v in range(u + 1, dm.n)
-            if dm.d[u][v] == dm.diam
-        )
+        x, y = _first_diametral_pair(dm)
         z = bi.witness
         total = dm.d[x][y] + dm.d[x][z] + dm.d[y][z]
         detail["spade"] = {
@@ -343,8 +315,6 @@ def _check_json(c: BoundCheck) -> dict:
 def assemble_report(
     g: Graph,
     rs: Sequence[int] = DEFAULT_RS,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     graph_id: str | None = None,
 ) -> BoundReport:
     """Solve gamma and run every configured check; any failure marks it fatal."""
@@ -360,12 +330,11 @@ def assemble_report(
             raise BadR(f"configured r={r} < 3")
         if r > g.n:
             checks.append(_skipped(r_subset_bound_name(r), f"r={r} exceeds n={g.n}"))
-        elif r == 3 and math.comb(g.n, 3) <= subset_budget:
-            # the exhaustive r = 3 scan is the triple scan just made
-            s3 = triple.detail["pair_sum"]
-            checks.append(_r_subset_check(gamma, 3, s3, triple.witness, "exhaustive"))
+        elif r == 3:
+            # the r = 3 scan is the triple scan just made, at every order
+            checks.append(_r_subset_check(gamma, 3, triple.detail["pair_sum"], triple.witness))
         else:
-            checks.append(r_subset_lb(gamma, dm, r, subset_budget, sample_count))
+            checks.append(r_subset_lb(gamma, dm, r))
     checks.append(average_distance_lb(gamma, g, dm))
     checks.append(boundary_ecc_lb(gamma, bi, dm))
 

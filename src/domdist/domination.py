@@ -22,11 +22,10 @@ ENUMERATION_CAP = 20  # guard against runaway subset enumeration
 
 @dataclass(frozen=True)
 class DominationResult:
-    """gamma plus one witness set; all_min_sets only when enumeration ran."""
+    """gamma plus one witness set."""
 
     gamma: int
     witness: tuple[int, ...]
-    all_min_sets: tuple[tuple[int, ...], ...] | None = None
 
 
 def closed_neighborhood_masks(g: Graph) -> tuple[int, ...]:
@@ -146,9 +145,3 @@ def enumerate_min_dominating_sets(g: Graph, max_n: int = ENUMERATION_CAP) -> lis
         if covered == full:
             found.append(combo)
     return found
-
-
-def domination_with_all_min_sets(g: Graph, max_n: int = ENUMERATION_CAP) -> DominationResult:
-    """DominationResult carrying the full list of minimum dominating sets."""
-    sets = tuple(enumerate_min_dominating_sets(g, max_n=max_n))
-    return DominationResult(gamma=len(sets[0]), witness=sets[0], all_min_sets=sets)

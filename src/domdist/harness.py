@@ -9,7 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterator
 
@@ -20,8 +20,6 @@ from .bounds import (
     BOUND_TRIPLE,
     BoundReport,
     DEFAULT_RS,
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SUBSET_BUDGET,
     assemble_report,
     r_subset_bound_name,
 )
@@ -38,8 +36,6 @@ FORMAT_EDGELIST = "edgelist"
 class VerifyConfig:
     fmt: str = FORMAT_GRAPH6
     rs: tuple[int, ...] = DEFAULT_RS
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
-    sample_count: int = DEFAULT_SAMPLE_COUNT
     strict: bool = False
 
 
@@ -51,7 +47,6 @@ class CorpusSummary:
     skipped: int = 0
     violations: int = 0
     equality_counts: dict[str, int] = field(default_factory=dict)
-    tight_instances: list[tuple[str, str]] = field(default_factory=list)
     violation_details: list[tuple[str, str]] = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)
     elapsed: float = 0.0
@@ -116,13 +111,7 @@ def _corpus_reports(path: str, config: VerifyConfig) -> Iterator[tuple[int, str,
                 raise item
             yield lineno, token, item
             continue
-        yield lineno, token, assemble_report(
-            item,
-            rs=config.rs,
-            subset_budget=config.subset_budget,
-            sample_count=config.sample_count,
-            graph_id=token,
-        )
+        yield lineno, token, assemble_report(item, rs=config.rs, graph_id=token)
 
 
 def run_corpus_verify(
@@ -159,7 +148,6 @@ def run_corpus_verify(
                 summary.equality_counts.setdefault(c.name, 0)
                 if c.equality:
                     summary.equality_counts[c.name] += 1
-                    summary.tight_instances.append((token, c.name))
             if jsonl is not None:
                 jsonl.write(item.jsonl_line() + "\n")
     finally:
@@ -200,11 +188,7 @@ def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = No
     if name.startswith("r-subset:"):
         r = int(name.split(":")[1])
         if r not in config.rs:
-            config = VerifyConfig(
-                fmt=config.fmt, rs=tuple(sorted(set(config.rs) | {r})),
-                subset_budget=config.subset_budget,
-                sample_count=config.sample_count, strict=config.strict,
-            )
+            config = replace(config, rs=tuple(sorted(set(config.rs) | {r})))
     tight: list[str] = []
     for _, token, item in _corpus_reports(path, config):
         if isinstance(item, GraphInputError):

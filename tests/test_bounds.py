@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from domdist.bounds import (
+    DEFAULT_SUBSET_BUDGET,
     assemble_report,
     average_distance_lb,
     best_triple_lb,
@@ -142,20 +143,31 @@ class TestRSubsetBound:
         with pytest.raises(BadR):
             r_subset_lb(2, dm, 5)
 
-    def test_sampled_never_beats_exhaustive(self):
-        g = spider(3, 3, 2)
-        dm = _dm(g)
-        gamma = gamma_bruteforce_oracle(g).gamma
-        exhaustive = r_subset_lb(gamma, dm, 4)
-        sampled = r_subset_lb(gamma, dm, 4, subset_budget=1, sample_count=50)
-        assert sampled.detail["method"] == "sampled"
-        assert sampled.detail["pair_sum"] <= exhaustive.detail["pair_sum"]
+    def test_r5_exhaustive_up_to_the_budget(self):
+        # C(31, 5) = 169,911 fits the budget.  On a path the sum for
+        # x1 < ... < x5 is -4*x1 - 2*x2 + 2*x4 + 4*x5: x3 is free, so 2 comes
+        # first, and the maximum is -2 + 58 + 120 = 176.
+        dm = _dm(path_graph(31))
+        c = r_subset_lb(11, dm, 5)
+        assert math.comb(31, 5) <= DEFAULT_SUBSET_BUDGET
+        assert c.detail["method"] == "exhaustive"
+        assert c.witness == (0, 1, 2, 29, 30)
+        assert c.detail["pair_sum"] == 176
+        assert c.holds and not c.equality
 
-    def test_sampled_is_deterministic(self):
-        dm = _dm(cycle_graph(9))
-        a = r_subset_lb(3, dm, 4, subset_budget=1)
-        b = r_subset_lb(3, dm, 4, subset_budget=1)
-        assert a == b
+    def test_r5_skipped_for_budget_past_it(self):
+        # C(32, 5) = 201,376 does not fit: skipped, never reported as holding
+        dm = _dm(path_graph(32))
+        assert math.comb(32, 5) > DEFAULT_SUBSET_BUDGET
+        c = r_subset_lb(11, dm, 5)
+        assert c.skipped and c.holds is None
+        assert c.skipped_reason == "budget"
+        assert not c.equality and c.value is None and c.witness == ()
+        rep = assemble_report(path_graph(32))
+        record = json.loads(rep.jsonl_line())
+        r5 = next(b for b in record["bounds"] if b["bound"] == "r-subset:5")
+        assert r5 == {"bound": "r-subset:5", "reason": "budget", "skipped": True}
+        assert not rep.fatal
 
 
 class TestAverageDistanceBound:
@@ -260,12 +272,20 @@ class TestAssembleReport:
                     if r in (4, 5):
                         assert rep.check(f"r-subset:{r}") == c
 
-    def test_r3_over_budget_is_still_sampled(self):
-        g = spider(3, 3, 2)
-        rep = assemble_report(g, subset_budget=math.comb(g.n, 3) - 1)
+    def test_k108_r3_from_the_triple_scan_and_larger_r_skipped(self):
+        # C(108, 3) = 204,156 exceeds the budget; the triple scan covers it anyway
+        g = complete_graph(108)
+        rep = assemble_report(g, graph_id="K108")
+        triple = rep.check("triple")
         r3 = rep.check("r-subset:3")
-        assert r3.detail["method"] == "sampled"
-        assert r3.detail["pair_sum"] <= rep.check("triple").detail["pair_sum"]
+        assert r3.detail["method"] == "exhaustive"
+        assert (r3.detail["pair_sum"], r3.witness) == (triple.detail["pair_sum"], triple.witness)
+        assert (r3.value, r3.holds, r3.equality) == (triple.value, triple.holds, triple.equality)
+        assert r3.witness == (0, 1, 2)
+        for r in (4, 5):
+            c = rep.check(f"r-subset:{r}")
+            assert c.skipped and c.skipped_reason == "budget"
+        assert not rep.fatal
 
     def test_configured_r_below_three_rejected(self):
         with pytest.raises(BadR):

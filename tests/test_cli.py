@@ -42,6 +42,15 @@ class TestAnalyze:
     def test_missing_edgelist_file_exits_2(self, capsys):
         assert main(["analyze", "nosuchfile.el", "--format", "edgelist"]) == 2
 
+    def test_r5_over_budget_prints_skipped(self, tmp_path, capsys):
+        path = tmp_path / "p32.el"
+        path.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31)))
+        assert main(["analyze", str(path), "--format", "edgelist"]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "r-subset:5" in line)
+        assert row.split() == ["r-subset:5", "skipped", "(budget)"]
+        assert "fatal: False" in out
+
     def test_huge_header_order_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.el"
         path.write_text("n 200000\n0 1\n")

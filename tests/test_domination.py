@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from domdist.domination import (
-    domination_with_all_min_sets,
     enumerate_min_dominating_sets,
     gamma_bruteforce_oracle,
     gamma_exact,
@@ -120,11 +119,6 @@ class TestEnumerateMinSets:
     def test_too_large_guard(self):
         with pytest.raises(TooLarge):
             enumerate_min_dominating_sets(path_graph(21))
-
-    def test_all_min_sets_result(self):
-        res = domination_with_all_min_sets(path_graph(4))
-        assert res.witness == res.all_min_sets[0]
-        assert res.gamma == 2
 
 
 class TestSolverAgainstOracle:

@@ -38,7 +38,7 @@ class TestRunCorpusVerify:
         summary = run_corpus_verify(str(corpus))
         assert summary.graphs_processed == 1
         # K3: diam 1, gamma 1, ceil(2/3) = 1, so the diameter bound is tight
-        assert ("Bw", "diameter") in summary.tight_instances
+        assert find_tight_instances(str(corpus), "diameter") == ["Bw"]
         assert summary.equality_counts["diameter"] == 1
 
     def test_malformed_line_skipped_when_not_strict(self, tmp_path):
