@@ -130,10 +130,10 @@ def gamma_bruteforce_oracle(g: Graph, max_n: int = ENUMERATION_CAP) -> Dominatio
     raise AssertionError("the full vertex set always dominates")
 
 
-def enumerate_min_dominating_sets(g: Graph, max_n: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def enumerate_min_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
     """All dominating sets of size exactly gamma, in lexicographic order."""
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds enumeration cap {max_n}")
+    if g.n > ENUMERATION_CAP:
+        raise TooLarge(f"n={g.n} exceeds enumeration cap {ENUMERATION_CAP}")
     gamma = gamma_exact(g).gamma
     masks = closed_neighborhood_masks(g)
     full = (1 << g.n) - 1

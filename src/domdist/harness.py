@@ -3,7 +3,8 @@
 A corpus is a file of graph6 lines (one graph per line) or, with the
 edgelist format, blank-line-separated edge-list blocks.  Reports are
 produced in input order, so repeated runs over the same file are
-byte-identical.
+byte-identical.  Bytes that do not decode are read as surrogate escapes,
+which the parsers reject, so such an entry is malformed like any other.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CorpusSummary:
 
 
 def _iter_graph6_entries(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -66,7 +67,7 @@ def _iter_graph6_entries(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _iter_edgelist_blocks(path: str) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         block: list[str] = []
         start = 0
         for lineno, raw in enumerate(fh, start=1):

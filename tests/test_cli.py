@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from domdist import bounds
 from domdist.cli import main
 from domdist.corpora import bundled_corpus_path
 
@@ -50,6 +51,27 @@ class TestAnalyze:
         row = next(line for line in out.splitlines() if "r-subset:5" in line)
         assert row.split() == ["r-subset:5", "skipped", "(budget)"]
         assert "fatal: False" in out
+
+    def test_huge_r_is_skipped_without_enumerating(self, monkeypatch, capsys):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("r-subset scan started")
+
+        monkeypatch.setattr(bounds, "r_subset_lb", no_scan)
+        assert main(["analyze", "Cl", "--r", "3,1000000"]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "r-subset:1000000" in line)
+        assert row.split() == ["r-subset:1000000", "skipped", "(r=1000000", "exceeds", "n=4)"]
+
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    @pytest.mark.parametrize("fmt, data", [
+        ("graph6", b"\xe9\xff\n"),
+        ("edgelist", b"n 3\n0 1\n1 \xe9\n"),
+    ])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command, fmt, data):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        assert main([command, str(path), "--format", fmt]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_huge_header_order_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.el"
@@ -101,6 +123,29 @@ class TestVerify:
         corpus.write_text("Bw\nA?\n")
         assert main(["verify", str(corpus), "--strict"]) == 2
 
+    def test_undecodable_line_is_skipped(self, tmp_path, capsys):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"Bw\n\xe9\xff\n")
+        assert main(["verify", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert "processed: 1" in out
+        assert "skipped:   1" in out
+        assert "line 2: InvalidGraph6" in out
+
+    def test_undecodable_line_strict_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"Bw\n\xe9\xff\n")
+        assert main(["verify", str(corpus), "--strict"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_edgelist_block_is_skipped(self, tmp_path, capsys):
+        corpus = tmp_path / "c.el"
+        corpus.write_bytes(b"n 3\n0 1\n1 2\n\nn 3\n0 \xe9\n1 2\n")
+        assert main(["verify", str(corpus), "--format", "edgelist"]) == 0
+        out = capsys.readouterr().out
+        assert "processed: 1" in out
+        assert "skipped:   1" in out
+
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["verify", "nosuchcorpus.g6"]) == 2
 
@@ -110,6 +155,13 @@ class TestTight:
         assert main(["tight", n4_corpus, "--bound", "triple"]) == 0
         # K_{1,3} appears in the corpus as "CF" (center at vertex 3)
         assert "CF" in capsys.readouterr().out.splitlines()
+
+    def test_undecodable_line_is_skipped_like_any_malformed_line(self, tmp_path, capsys):
+        # tight has no --strict: a line that does not decode is dropped like "A?"
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"Bw\n\xe9\xff\nA?\n")
+        assert main(["tight", str(corpus), "--bound", "diameter"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["Bw"]
 
     def test_unknown_bound_exits_2(self, n4_corpus, capsys):
         assert main(["tight", n4_corpus, "--bound", "nope"]) == 2
@@ -132,6 +184,11 @@ class TestLift:
     def test_non_gamma_set_exits_2(self, capsys):
         assert main(["lift", "Cl", "--set", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_max_enum_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", "Cl", "--max-enum", "20"])
+        assert exc.value.code == 2
 
 
 class TestCounterexample:

@@ -3,15 +3,17 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
+from domdist import treelift
 from domdist.distance import all_pairs_distances
 from domdist.domination import (
+    ENUMERATION_CAP,
     enumerate_min_dominating_sets,
     gamma_bruteforce_oracle,
     gamma_exact,
 )
 from domdist.errors import NotAGammaSet
 from domdist.graphs import Graph
-from domdist.treelift import lift_gamma_set_to_spanning_tree, verify_lift
+from domdist.treelift import SpanningTreeLift, lift_gamma_set_to_spanning_tree, verify_lift
 
 from conftest import connected_graphs
 from graphutil import complete_graph, cycle_graph, path_graph, spider, star_graph
@@ -97,6 +99,65 @@ class TestVerifyLift:
         check = verify_lift(g, lift, (0,))
         assert not check
         assert check.reason == "MNotDominating"
+
+    def test_tree_gamma_mismatch(self):
+        # the star at 0 is dominated by {0} alone, so M = {0, 1} is not minimum in it
+        lift = SpanningTreeLift(
+            tree_edges=((0, 1), (0, 2), (0, 3)),
+            dominator_of={2: 0, 3: 0},
+            connector_edges=(),
+        )
+        check = verify_lift(complete_graph(4), lift, (0, 1))
+        assert not check
+        assert check.reason == "TreeGammaMismatch"
+
+    def test_graph_gamma_mismatch(self):
+        # gamma(P4) = 2 = |M|, but gamma(K4) = 1
+        lift = SpanningTreeLift(
+            tree_edges=((0, 1), (1, 2), (2, 3)),
+            dominator_of={0: 1, 3: 2},
+            connector_edges=((1, 2),),
+        )
+        check = verify_lift(complete_graph(4), lift, (1, 2))
+        assert not check
+        assert check.reason == "GraphGammaMismatch"
+
+    @pytest.mark.parametrize("edges", [((0, 1), (0, 1), (1, 2)), ((0, 1), (1, 0), (1, 2))])
+    def test_repeated_edge_is_not_a_spanning_tree(self, edges):
+        # n - 1 listed edges, but only two distinct ones
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        check = verify_lift(g, dataclasses.replace(lift, tree_edges=edges), (0, 2))
+        assert not check
+        assert check.reason == "NotSpanningTree"
+
+    @pytest.mark.parametrize("bad_edge", [(3, 7), (7, 3), (-1, 0)])
+    def test_vertex_outside_graph_is_not_a_subgraph(self, bad_edge):
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        tampered = dataclasses.replace(lift, tree_edges=((0, 1), (0, 3), bad_edge))
+        check = verify_lift(g, tampered, (0, 2))
+        assert not check
+        assert check.reason == "NotSubgraph"
+
+    def test_success_solves_gamma_once(self, monkeypatch):
+        calls = []
+
+        def counting_oracle(h, *args, **kwargs):
+            calls.append(h)
+            return gamma_bruteforce_oracle(h, *args, **kwargs)
+
+        monkeypatch.setattr(treelift, "gamma_bruteforce_oracle", counting_oracle)
+        g = cycle_graph(7)
+        for m in enumerate_min_dominating_sets(g):
+            calls.clear()
+            assert verify_lift(g, lift_gamma_set_to_spanning_tree(g, m), m)
+            assert calls == [g]
+
+    def test_above_the_enumeration_cap(self):
+        g = path_graph(ENUMERATION_CAP + 2)
+        m = gamma_exact(g).witness
+        assert verify_lift(g, lift_gamma_set_to_spanning_tree(g, m), m)
 
 
 class TestLiftProperties:
