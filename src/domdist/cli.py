@@ -5,7 +5,9 @@ tight (equality instances for one bound), lift (gamma-set preserving spanning
 tree), counterexample (the 6-vertex diametral-path demo).
 
 Exit codes: 0 success, 1 theorem violation or failed verification, 2 usage
-or input error.
+or input error.  verify and tight skip malformed corpus entries and count
+them (verify on stdout, tight on stderr, so its stdout stays one token per
+line); verify --strict exits 2 on the first one instead.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .harness import (
     FORMAT_GRAPH6,
     VerifyConfig,
     counterexample_demo,
-    find_tight_instances,
     run_corpus_verify,
+    scan_tight_instances,
 )
 from .treelift import lift_gamma_set_to_spanning_tree, verify_lift
 
@@ -120,8 +122,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tight(args) -> int:
     config = VerifyConfig(fmt=args.format, rs=args.r)
-    for token in find_tight_instances(args.corpus, args.bound, config):
+    tight, skipped = scan_tight_instances(args.corpus, args.bound, config)
+    for token in tight:
         print(token)
+    if skipped:
+        print(f"skipped: {skipped}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,15 +35,23 @@ class BoundaryInfo:
 
 
 def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    # the next level is the union of this level's closed neighborhoods,
+    # minus every vertex already reached
+    masks = g.closed_masks
+    dist = [0] * g.n
+    seen = level = 1 << source
+    d = 0
+    while level:
+        reach = 0
+        while level:
+            low = level & -level
+            v = low.bit_length() - 1
+            dist[v] = d
+            reach |= masks[v]
+            level ^= low
+        d += 1
+        level = reach & ~seen
+        seen |= level
     return tuple(dist)
 
 

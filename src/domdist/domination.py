@@ -5,7 +5,9 @@ domination test is a mask union.  gamma_exact runs a branch-and-bound on the
 set-cover formulation, pruned only by a counting bound;
 gamma_bruteforce_oracle enumerates subsets by increasing size and shares no
 code with the solver beyond the masks, which keeps it useful as an
-independent check.  The masks are built once per Graph (Graph.closed_masks).
+independent check.  The masks are the Graph itself (Graph.closed_masks), and
+gamma_exact keeps its result on the Graph, so every caller that asks for the
+gamma of one Graph shares one solve; the oracle never reads that result.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .graphs import Graph
 ENUMERATION_CAP = 20  # guard against runaway subset enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominationResult:
-    """gamma plus one witness set."""
+    """gamma plus one witness set (slotted: every solved Graph keeps one)."""
 
     gamma: int
     witness: tuple[int, ...]
@@ -63,12 +65,21 @@ def _greedy_cover(n: int, masks: Sequence[int], full: int) -> list[int]:
 def gamma_exact(g: Graph) -> DominationResult:
     """Exact gamma via branch-and-bound set cover over closed neighborhoods.
 
+    Solved once per Graph: the result is kept on g and returned by every
+    later call.
+
     Branching: take an uncovered vertex with the fewest coverage options
     (its closed neighborhood; ties to the lowest index) and branch on which
     neighbor covers it.  A greedy cover seeds the incumbent.  A branch is cut
     when |chosen| + ceil(|uncovered| / max gain) reaches the incumbent, where
     max gain is the most uncovered vertices one closed neighborhood covers.
     """
+    if g._gamma is None:
+        object.__setattr__(g, "_gamma", _branch_and_bound(g))
+    return g._gamma
+
+
+def _branch_and_bound(g: Graph) -> DominationResult:
     n = g.n
     masks = closed_neighborhood_masks(g)
     full = (1 << n) - 1

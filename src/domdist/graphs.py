@@ -1,15 +1,16 @@
 """Immutable simple undirected connected graphs plus edge-list / graph6 I/O.
 
-Vertices are always the contiguous integers 0..n-1.  Disconnected input and
-graphs with fewer than two vertices are rejected everywhere: every invariant
-downstream assumes a connected graph of order >= 2.
+Vertices are always the contiguous integers 0..n-1.  A Graph is its
+closed-neighborhood bit masks: bit u of closed_masks[v] is set iff u is in
+N[v] (so every mask holds its own bit).  Disconnected input and graphs with
+fewer than two vertices are rejected everywhere: every invariant downstream
+assumes a connected graph of order >= 2.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     Disconnected,
@@ -20,73 +21,77 @@ from .errors import (
     VertexOutOfRange,
 )
 
+if TYPE_CHECKING:
+    from .domination import DominationResult
+
 GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a non-negative mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Connected simple graph on vertices 0..n-1 with per-vertex neighbor sets.
+    """Connected simple graph on vertices 0..n-1, stored as closed-neighborhood masks.
 
-    Instances are validated on construction (symmetry, no loops, connectivity)
-    and immutable afterwards, so they can be shared freely across workers.
-    Use :meth:`from_edges` rather than the raw constructor.
+    Instances are validated on construction (every mask holds its own bit
+    and no bit >= n, symmetry, connectivity) and immutable afterwards, so
+    they can be shared freely across workers.  Use :meth:`from_edges` rather
+    than the raw constructor.  gamma_exact keeps its result in the one
+    private slot, so gamma is solved once per Graph.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
-    # filled on first use by closed_masks; with slots, a Graph holding its
-    # masks stays smaller than a dict-backed one (corpora hold thousands)
-    _masks: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    closed_masks: tuple[int, ...]
+    # set by domination.gamma_exact on first use; a Graph never changes, so
+    # neither does its gamma
+    _gamma: DominationResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise OrderTooSmall(f"graph order {self.n} < 2")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        for v, nbrs in enumerate(self.adj):
-            if v in nbrs:
-                raise SelfLoop(f"vertex {v} is adjacent to itself")
-            for u in nbrs:
-                if not (0 <= u < self.n):
-                    raise VertexOutOfRange(f"neighbor {u} of vertex {v} outside 0..{self.n - 1}")
-                if v not in self.adj[u]:
-                    raise ValueError(f"adjacency not symmetric for edge ({u}, {v})")
-        if not self._is_connected():
+        # a list would stay mutable after the checks below
+        n, masks = self.n, tuple(self.closed_masks)
+        object.__setattr__(self, "closed_masks", masks)
+        if n < 2:
+            raise OrderTooSmall(f"graph order {n} < 2")
+        if len(masks) != n:
+            raise ValueError(f"{len(masks)} masks for n={n}")
+        for v, m in enumerate(masks):
+            if m >> n:
+                raise VertexOutOfRange(f"mask of vertex {v} has a bit outside 0..{n - 1}")
+            if not m >> v & 1:
+                raise ValueError(f"mask of vertex {v} lacks its own bit")
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                if not masks[u] >> v & 1:
+                    raise ValueError(f"adjacency not symmetric for edge ({v}, {u})")
+                m ^= low
+        seen = level = 1  # breadth-first from vertex 0, one level per pass
+        while level:
+            reach = 0
+            while level:
+                low = level & -level
+                reach |= masks[low.bit_length() - 1]
+                level ^= low
+            level = reach & ~seen
+            seen |= level
+        if seen != (1 << n) - 1:
             raise Disconnected("graph is not connected")
-
-    @property
-    def closed_masks(self) -> tuple[int, ...]:
-        """Closed neighborhood N[v] of every vertex as a bit mask, built once."""
-        if self._masks is None:
-            masks = []
-            for v, nbrs in enumerate(self.adj):
-                m = 1 << v
-                for u in nbrs:
-                    m |= 1 << u
-                masks.append(m)
-            object.__setattr__(self, "_masks", tuple(masks))
-        return self._masks
-
-    def _is_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable; duplicate edges collapse.
 
         A connected graph of order n has at least n - 1 edges, so a shorter
-        edge list raises Disconnected before the n neighbor sets are
-        allocated: memory follows the length of the input, never an order
-        read from a header.
+        edge list raises Disconnected before the n masks are allocated:
+        memory follows the length of the input, never an order read from a
+        header.
         """
         if n < 2:
             raise OrderTooSmall(f"graph order {n} < 2")
@@ -98,30 +103,44 @@ class Graph:
                 raise SelfLoop(f"self-loop at vertex {u}")
         if len(edges) < n - 1:
             raise Disconnected(f"{len(edges)} edges cannot connect {n} vertices")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        masks = [1 << v for v in range(n)]
         for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(n, tuple(masks))
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Open neighbor set of every vertex, rebuilt from the masks on each access."""
+        return tuple(self.neighbors(v) for v in range(self.n))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(_bits(self.closed_masks[v] & ~(1 << v)))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
+        return frozenset(_bits(self.closed_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.closed_masks[v].bit_count() - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        """False for u == v and for a vertex outside 0..n-1."""
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and u != v and self.closed_masks[u] >> v & 1 == 1
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return tuple((u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v)
+        edges = []
+        for u, m in enumerate(self.closed_masks):
+            m &= -2 << u  # the bits above u
+            while m:
+                low = m & -m
+                edges.append((u, low.bit_length() - 1))
+                m ^= low
+        return tuple(edges)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return (sum(m.bit_count() for m in self.closed_masks) - self.n) // 2
 
     def check_vertices(self, vertices: Iterable[int]) -> None:
         for v in vertices:

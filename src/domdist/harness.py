@@ -182,8 +182,11 @@ def canonical_bound_name(name: str) -> str:
     raise UnknownBound(f"unknown bound {name!r}")
 
 
-def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = None) -> list[str]:
-    """All corpus graphs whose report shows equality for the named bound."""
+def scan_tight_instances(
+    path: str, bound: str, config: VerifyConfig | None = None,
+) -> tuple[list[str], int]:
+    """Tokens of the corpus graphs whose report shows equality for the named
+    bound, in input order, and the number of malformed entries skipped."""
     config = config or VerifyConfig()
     name = canonical_bound_name(bound)
     if name.startswith("r-subset:"):
@@ -191,12 +194,18 @@ def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = No
         if r not in config.rs:
             config = replace(config, rs=tuple(sorted(set(config.rs) | {r})))
     tight: list[str] = []
+    skipped = 0
     for _, token, item in _corpus_reports(path, config):
         if isinstance(item, GraphInputError):
-            continue
-        if item.check(name).equality:
+            skipped += 1
+        elif item.check(name).equality:
             tight.append(token)
-    return tight
+    return tight, skipped
+
+
+def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = None) -> list[str]:
+    """All corpus graphs whose report shows equality for the named bound."""
+    return scan_tight_instances(path, bound, config)[0]
 
 
 # Counterexample to the claim that a diametral path contains at most

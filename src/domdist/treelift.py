@@ -1,10 +1,12 @@
 """Spanning trees in which a given minimum dominating set stays minimum.
 
-Construction: every vertex outside M picks its lowest-indexed neighbor in M,
-giving a forest of stars centered on M; the stars are then joined with the
-lexicographically smallest available graph edges between components.  M still
-dominates the tree, and since removing edges can only raise gamma, the tree's
-domination number equals the graph's.
+Construction: every vertex outside M picks its lowest-indexed neighbor in M
+(the lowest bit of its closed-neighborhood mask inside M), giving a forest of
+stars centered on M; the stars are then joined with the lexicographically
+smallest graph edges between components, tracked as one component label per
+vertex.  M still dominates the tree, and since removing edges can only raise
+gamma, the tree's domination number equals the graph's.  The lift reads
+gamma(G) from gamma_exact, which solves it once per Graph.
 """
 
 from __future__ import annotations
@@ -45,49 +47,45 @@ class LiftCheck:
         return self.ok
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
-
-
 def lift_gamma_set_to_spanning_tree(g: Graph, m: Iterable[int]) -> SpanningTreeLift:
     """Build the star-plus-connectors spanning tree for a minimum dominating set.
 
     Raises NotAGammaSet when m is not dominating or not of minimum size.
     """
     mset = frozenset(m)
-    g.check_vertices(mset)
     if not is_dominating_set(g, mset):
         raise NotAGammaSet(f"{sorted(mset)} does not dominate the graph")
     gamma = gamma_exact(g).gamma
     if len(mset) != gamma:
         raise NotAGammaSet(f"{sorted(mset)} has size {len(mset)}, but gamma = {gamma}")
 
-    dominator_of = {
-        v: min(g.adj[v] & mset) for v in range(g.n) if v not in mset
-    }
-    star_edges = sorted((min(v, d), max(v, d)) for v, d in dominator_of.items())
+    in_m = 0
+    for v in mset:
+        in_m |= 1 << v
+    # label[v] names v's component by a vertex of M; members[c] is the vertex
+    # mask of the component named c
+    label = list(range(g.n))
+    members = {c: 1 << c for c in mset}
+    dominator_of = {}
+    for v, mask in enumerate(g.closed_masks):
+        if not in_m >> v & 1:
+            options = mask & in_m
+            d = dominator_of[v] = label[v] = (options & -options).bit_length() - 1
+            members[d] |= 1 << v
+    star_edges = [(min(v, d), max(v, d)) for v, d in dominator_of.items()]
 
-    uf = _UnionFind(g.n)
-    for u, v in star_edges:
-        uf.union(u, v)
+    # the lexicographically first edge leaving a component joins it to
+    # another, until one component is left
     connectors = []
-    for u, v in g.edges():
-        if uf.union(u, v):
+    for u, mask in enumerate(g.closed_masks):
+        if len(members) == 1:
+            break
+        while across := mask & (-2 << u) & ~members[label[u]]:
+            v = (across & -across).bit_length() - 1
             connectors.append((u, v))
+            keep, drop = label[u], label[v]
+            members[keep] |= members.pop(drop)
+            label = [keep if c == drop else c for c in label]
 
     tree_edges = tuple(sorted(star_edges + connectors))
     return SpanningTreeLift(
@@ -104,24 +102,32 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     gamma(g) <= gamma(tree) <= |M|, so gamma(g) == |M| proves both equalities:
     that is the one solve on success, and gamma(tree) is solved only to name a
     mismatch.  Up to ENUMERATION_CAP vertices the solver is the brute-force
-    oracle, which shares no search code with the lift's gamma_exact.
+    oracle, which shares no search code with the lift's gamma_exact and never
+    reads the gamma kept on g; above the cap it is gamma_exact itself.  Tree
+    edges and M are range-checked before any mask is read, so malformed input
+    gives NotSubgraph or MNotDominating instead of an exception.
     """
     mset = frozenset(m)
     n = g.n
-    graph_edges = set(g.edges())
-
+    tree_masks = [1 << v for v in range(n)]
     for edge in lift.tree_edges:
-        if tuple(sorted(edge)) not in graph_edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
             return LiftCheck(False, "NotSubgraph")
+        if not g.has_edge(u, v):
+            return LiftCheck(False, "NotSubgraph")
+        tree_masks[u] |= 1 << v
+        tree_masks[v] |= 1 << u
     if len(lift.tree_edges) != n - 1:
         return LiftCheck(False, "NotSpanningTree")
     try:
         # n - 1 edges of g, so connected means a tree; a repeated edge
         # leaves too few distinct edges to connect
-        tree = Graph.from_edges(n, lift.tree_edges)
+        tree = Graph(n, tuple(tree_masks))
     except Disconnected:
         return LiftCheck(False, "NotSpanningTree")
-    if not is_dominating_set(tree, mset):
+    if not all(0 <= v < n for v in mset) or not is_dominating_set(tree, mset):
         return LiftCheck(False, "MNotDominating")
 
     if set(lift.dominator_of) != set(range(n)) - mset:

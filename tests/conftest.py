@@ -9,8 +9,8 @@ import corpusgen
 
 
 @st.composite
-def connected_graphs(draw, min_n: int = 2, max_n: int = 7) -> Graph:
-    """Random connected graph: a random tree plus random extra edges."""
+def connected_edge_lists(draw, min_n: int = 2, max_n: int = 7) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of a random connected graph: a random tree plus random extra edges."""
     n = draw(st.integers(min_n, max_n))
     edges = set()
     for v in range(1, n):
@@ -18,7 +18,12 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7) -> Graph:
         edges.add((parent, v))
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges.update(draw(st.lists(st.sampled_from(all_pairs), max_size=len(all_pairs))))
-    return Graph.from_edges(n, edges)
+    return n, sorted(edges)
+
+
+def connected_graphs(min_n: int = 2, max_n: int = 7) -> st.SearchStrategy[Graph]:
+    """Random connected Graph, drawn as connected_edge_lists."""
+    return connected_edge_lists(min_n, max_n).map(lambda drawn: Graph.from_edges(*drawn))
 
 
 @pytest.fixture(scope="session")

@@ -61,7 +61,7 @@ def distance_by_path_enumeration(g: Graph, s: int, t: int) -> int:
         v, visited, length = stack.pop()
         if length >= best:
             continue
-        for u in g.adj[v]:
+        for u in g.neighbors(v):
             if u == t:
                 best = min(best, length + 1)
             elif u not in visited:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import domdist
 from domdist import bounds
 from domdist.cli import main
 from domdist.corpora import bundled_corpus_path
@@ -163,6 +167,18 @@ class TestTight:
         assert main(["tight", str(corpus), "--bound", "diameter"]) == 0
         assert capsys.readouterr().out.splitlines() == ["Bw"]
 
+    def test_malformed_entries_counted_on_stderr(self, tmp_path, capsys):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bw\nA?\n")
+        assert main(["tight", str(corpus), "--bound", "diameter"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["Bw"]
+        assert captured.err == "skipped: 1\n"
+
+    def test_clean_corpus_prints_nothing_on_stderr(self, n4_corpus, capsys):
+        assert main(["tight", n4_corpus, "--bound", "diameter"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_bound_exits_2(self, n4_corpus, capsys):
         assert main(["tight", n4_corpus, "--bound", "nope"]) == 2
 
@@ -200,6 +216,15 @@ class TestCounterexample:
 
 
 class TestUsage:
+    def test_python_dash_m(self):
+        src = str(Path(domdist.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "domdist", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: domdist" in done.stdout
+
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -12,9 +14,10 @@ from domdist.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
+from domdist.domination import gamma_exact
 from domdist.graphs import Graph, encode_graph6, parse_edgelist, parse_graph6
 
-from conftest import connected_graphs
+from conftest import connected_edge_lists, connected_graphs
 from graphutil import path_graph, star_graph, to_networkx
 
 
@@ -63,8 +66,29 @@ class TestGraphConstruction:
         assert g.closed_masks is g.closed_masks
 
     def test_asymmetric_adjacency_rejected(self):
+        # N[0] = {0, 1} but N[1] = {1}
         with pytest.raises(ValueError):
-            Graph(2, (frozenset({1}), frozenset()))
+            Graph(2, (0b11, 0b10))
+
+    @pytest.mark.parametrize("n, masks, error", [
+        (2, (0b10, 0b11), ValueError),  # N[0] lacks 0
+        (3, (0b011, 0b111, 0b100), ValueError),  # 1 ~ 2 but not 2 ~ 1
+        (2, (0b111, 0b11), VertexOutOfRange),  # bit 2 with n = 2
+        (2, (-1, 0b11), VertexOutOfRange),  # a negative mask has every high bit
+        (4, (0b0011, 0b0011, 0b1100, 0b1100), Disconnected),
+        (3, (0b11, 0b11), ValueError),  # one mask short
+        (1, (0b1,), OrderTooSmall),
+    ])
+    def test_raw_constructor_rejects_bad_masks(self, n, masks, error):
+        with pytest.raises(error):
+            Graph(n, masks)
+
+    def test_raw_constructor_freezes_a_mask_list(self):
+        masks = [0b11, 0b11]
+        g = Graph(2, masks)
+        masks[0] = 0
+        assert g == path_graph(2)
+        assert hash(g) == hash(path_graph(2))
 
     def test_immutable_and_hashable(self):
         g = path_graph(3)
@@ -72,6 +96,47 @@ class TestGraphConstruction:
             g.n = 5
         assert g == path_graph(3)
         assert len({g, path_graph(3)}) == 1
+
+
+class TestMaskNativeGraph:
+    """Every derived view of the masks agrees with networkx on the same edges."""
+
+    @given(connected_edge_lists())
+    def test_views_match_networkx(self, drawn):
+        n, edges = drawn
+        g = Graph.from_edges(n, edges)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        assert g.adj == tuple(frozenset(h[v]) for v in range(n))
+        for v in range(n):
+            assert g.neighbors(v) == set(h[v])
+            assert g.closed_neighborhood(v) == set(h[v]) | {v}
+            assert g.degree(v) == h.degree(v)
+            assert g.has_edge(v, v) is False
+            for u in range(n):
+                assert g.has_edge(u, v) == h.has_edge(u, v)
+        assert g.edges() == tuple(sorted(tuple(sorted(e)) for e in h.edges()))
+        assert g.edge_count() == h.number_of_edges()
+        assert Graph(n, g.closed_masks) == g
+
+    def test_graph_with_gamma_stays_small(self):
+        # 853 graphs of order 7, each with its masks and its gamma; one
+        # frozenset per vertex would cost about 2 KB per graph
+        lines = Path(__file__).with_name("data").joinpath("connected_n7.g6").read_text().split()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = [parse_graph6(line) for line in lines]
+            for g in graphs:
+                gamma_exact(g)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == 853
+        assert retained / len(graphs) <= 512
 
 
 class TestParseEdgelist:

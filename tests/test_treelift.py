@@ -3,10 +3,11 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from domdist import treelift
+from domdist import domination, treelift
 from domdist.distance import all_pairs_distances
 from domdist.domination import (
     ENUMERATION_CAP,
+    DominationResult,
     enumerate_min_dominating_sets,
     gamma_bruteforce_oracle,
     gamma_exact,
@@ -131,7 +132,7 @@ class TestVerifyLift:
         assert not check
         assert check.reason == "NotSpanningTree"
 
-    @pytest.mark.parametrize("bad_edge", [(3, 7), (7, 3), (-1, 0)])
+    @pytest.mark.parametrize("bad_edge", [(3, 7), (7, 3), (-1, 0), (0, 1, 2)])
     def test_vertex_outside_graph_is_not_a_subgraph(self, bad_edge):
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
@@ -139,6 +140,14 @@ class TestVerifyLift:
         check = verify_lift(g, tampered, (0, 2))
         assert not check
         assert check.reason == "NotSubgraph"
+
+    @pytest.mark.parametrize("m", [(0, 9), (0, -1)])
+    def test_set_outside_graph_is_not_dominating(self, m):
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        check = verify_lift(g, lift, m)
+        assert not check
+        assert check.reason == "MNotDominating"
 
     def test_success_solves_gamma_once(self, monkeypatch):
         calls = []
@@ -158,6 +167,30 @@ class TestVerifyLift:
         g = path_graph(ENUMERATION_CAP + 2)
         m = gamma_exact(g).witness
         assert verify_lift(g, lift_gamma_set_to_spanning_tree(g, m), m)
+
+
+class TestGammaOncePerGraph:
+    def test_enumerate_and_every_lift_share_one_solve(self, monkeypatch):
+        calls = []
+        greedy = domination._greedy_cover
+
+        def counting_greedy(*args):
+            calls.append(args)
+            return greedy(*args)
+
+        monkeypatch.setattr(domination, "_greedy_cover", counting_greedy)
+        g = cycle_graph(7)
+        sets = enumerate_min_dominating_sets(g)
+        assert len(sets) == 14
+        for m in sets:
+            assert verify_lift(g, lift_gamma_set_to_spanning_tree(g, m), m)
+        assert len(calls) == 1
+        assert gamma_exact(g) is gamma_exact(g)
+
+    def test_oracle_ignores_the_kept_gamma(self):
+        g = cycle_graph(7)
+        object.__setattr__(g, "_gamma", DominationResult(gamma=1, witness=(0,)))
+        assert gamma_bruteforce_oracle(g).gamma == 3
 
 
 class TestLiftProperties:
