@@ -20,13 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from .distance import (
-    BoundaryInfo,
-    DistanceMatrix,
-    all_pairs_distances,
-    boundary_and_set_ecc,
-    wiener_index,
-)
+from .distance import BoundaryInfo, DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
 from .errors import BadR
 from .graphs import Graph, encode_graph6
@@ -40,8 +34,11 @@ DEFAULT_RS = (3, 4, 5)
 DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
 
 
+_R_SUBSET = "r-subset:"
+
+
 def r_subset_bound_name(r: int) -> str:
-    return f"r-subset:{r}"
+    return f"{_R_SUBSET}{r}"
 
 
 @dataclass(frozen=True)
@@ -80,24 +77,15 @@ def _skipped(name: str, reason: str) -> BoundCheck:
 
 def _check(name: str, gamma: int, num: int, den: int,
            witness: tuple[int, ...], detail: dict) -> BoundCheck:
-    value = Fraction(num, den)
+    margin = den * gamma - num
     return BoundCheck(
         name=name,
-        value=value,
-        holds=den * gamma >= num,
-        equality=den * gamma == num,
-        slack=gamma - value,
+        value=Fraction(num, den),
+        holds=margin >= 0,
+        equality=margin == 0,
+        slack=Fraction(margin, den),
         witness=witness,
         detail=detail,
-    )
-
-
-def _first_diametral_pair(dm: DistanceMatrix) -> tuple[int, int]:
-    """The lexicographically first pair u < v with d(u, v) = diam."""
-    return min(
-        (u, v)
-        for u in range(dm.n) for v in range(u + 1, dm.n)
-        if dm.d[u][v] == dm.diam
     )
 
 
@@ -105,15 +93,13 @@ def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """ceil((diam + 1) / 3) <= gamma, checked as 3*gamma >= diam + 1."""
     diam = dm.diam
     lb = (diam + 3) // 3
-    pair = _first_diametral_pair(dm)
-    value = Fraction(lb)
     return BoundCheck(
         name=BOUND_DIAMETER,
-        value=value,
+        value=Fraction(lb),
         holds=3 * gamma >= diam + 1,
         equality=lb == gamma,
-        slack=gamma - value,
-        witness=pair,
+        slack=Fraction(gamma - lb),
+        witness=dm.diametral_pair,
         detail={"diam": diam, "margin": 3 * gamma - (diam + 1)},
     )
 
@@ -173,9 +159,11 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
     A witness with a distance not congruent to 2 mod 3 contradicts the
     equality corollary and is treated as fatal by report assembly.
     """
+    target = 6 * gamma
+    if target > 3 * dm.diam:
+        return ()  # each of a triple's three distances is at most diam
     n = dm.n
     d = dm.d
-    target = 6 * gamma
     found = []
     for i in range(n - 2):
         di = d[i]
@@ -219,7 +207,9 @@ def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...]) -> Bo
 
 def average_distance_lb(gamma: int, g: Graph, dm: DistanceMatrix | None = None) -> BoundCheck:
     """n(n-1)*gamma >= W(G); the bound value is the average distance."""
-    w = wiener_index(g, dm)
+    if dm is None:
+        dm = all_pairs_distances(g)
+    w = dm.wiener
     den = g.n * (g.n - 1)
     return _check(
         BOUND_AVERAGE_DISTANCE, gamma, w, den, (),
@@ -237,7 +227,7 @@ def boundary_ecc_lb(gamma: int, bi: BoundaryInfo, dm: DistanceMatrix) -> BoundCh
     r_ecc = bi.ecc_of_boundary
     detail: dict = {"R": r_ecc, "boundary": list(bi.boundary), "z": bi.witness}
     if len(bi.boundary) < dm.n:
-        x, y = _first_diametral_pair(dm)
+        x, y = dm.diametral_pair
         z = bi.witness
         total = dm.d[x][y] + dm.d[x][z] + dm.d[y][z]
         detail["spade"] = {
@@ -276,6 +266,7 @@ class BoundReport:
         return [c.name for c in self.checks]
 
     def to_json_dict(self) -> dict:
+        """The report as JSON-ready values; jsonl_line writes the same record."""
         return {
             "graph": self.graph6,
             "n": self.n,
@@ -290,7 +281,69 @@ class BoundReport:
         }
 
     def jsonl_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """The report as one line of compact JSON with sorted keys.
+
+        Written directly in the key order of
+        json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
+        which the tests hold it to.  The graph id and the skip reasons go
+        through json.dumps, so their escaping is the same; every other
+        string is one of this module's ASCII constants.
+        """
+        bounds = ",".join(map(_check_jsonl, self.checks))
+        triples = ",".join(
+            f'{{"dists":{_ints_jsonl(t.dists)},"mod3_ok":{_bool_jsonl(t.mod3_ok)},'
+            f'"triple":{_ints_jsonl(t.triple)}}}'
+            for t in self.triple_equalities
+        )
+        return (
+            f'{{"bounds":[{bounds}],"fatal":{_bool_jsonl(self.fatal)},"gamma":{self.gamma},'
+            f'"gamma_witness":{_ints_jsonl(self.gamma_witness)},'
+            f'"graph":{json.dumps(self.graph6)},"n":{self.n},'
+            f'"triple_equalities":[{triples}]}}'
+        )
+
+
+def _bool_jsonl(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _ints_jsonl(xs: Sequence[int]) -> str:
+    return f'[{",".join(map(str, xs))}]'
+
+
+def _frac_jsonl(f: Fraction) -> str:
+    return f'{{"den":{f.denominator},"num":{f.numerator}}}'
+
+
+def _detail_jsonl(name: str, d: dict) -> str:
+    if name.startswith(_R_SUBSET):
+        return (f'{{"margin":{d["margin"]},"method":"{d["method"]}",'
+                f'"pair_sum":{d["pair_sum"]},"r":{d["r"]}}}')
+    if name == BOUND_DIAMETER:
+        return f'{{"diam":{d["diam"]},"margin":{d["margin"]}}}'
+    if name == BOUND_TRIPLE:
+        return f'{{"margin":{d["margin"]},"pair_sum":{d["pair_sum"]}}}'
+    if name == BOUND_AVERAGE_DISTANCE:
+        return f'{{"margin":{d["margin"]},"wiener":{d["wiener"]}}}'
+    # BOUND_BOUNDARY_ECC
+    spade = d["spade"]
+    if spade is not None:
+        spade = (f'{{"ok":{_bool_jsonl(spade["ok"])},"sum":{spade["sum"]},'
+                 f'"threshold":{spade["threshold"]},"x":{spade["x"]},"y":{spade["y"]},'
+                 f'"z":{spade["z"]}}}')
+    return (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(d["boundary"])},'
+            f'"margin":{d["margin"]},"spade":{spade or "null"},"z":{d["z"]}}}')
+
+
+def _check_jsonl(c: BoundCheck) -> str:
+    if c.skipped:
+        return f'{{"bound":"{c.name}","reason":{json.dumps(c.skipped_reason)},"skipped":true}}'
+    return (
+        f'{{"bound":"{c.name}","detail":{_detail_jsonl(c.name, c.detail)},'
+        f'"equality":{_bool_jsonl(c.equality)},"holds":{_bool_jsonl(c.holds)},'
+        f'"skipped":false,"slack":{_frac_jsonl(c.slack)},"value":{_frac_jsonl(c.value)},'
+        f'"witness":{_ints_jsonl(c.witness)}}}'
+    )
 
 
 def _frac_json(f: Fraction) -> dict:
@@ -321,7 +374,6 @@ def assemble_report(
     dm = all_pairs_distances(g)
     result = gamma_exact(g)
     gamma = result.gamma
-    bi = boundary_and_set_ecc(g, dm)
 
     triple = best_triple_lb(gamma, dm)
     checks = [diameter_lb(gamma, dm), triple]
@@ -336,7 +388,7 @@ def assemble_report(
         else:
             checks.append(r_subset_lb(gamma, dm, r))
     checks.append(average_distance_lb(gamma, g, dm))
-    checks.append(boundary_ecc_lb(gamma, bi, dm))
+    checks.append(boundary_ecc_lb(gamma, dm.boundary_info, dm))
 
     equalities = triple_equality_analysis(gamma, dm)
 

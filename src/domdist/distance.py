@@ -8,20 +8,28 @@ from fractions import Fraction
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceMatrix:
-    """All-pairs hop counts with per-vertex eccentricities and the diameter."""
+    """All-pairs hop counts and every distance invariant the bounds read.
+
+    wiener is W(G), the sum of d(u, v) over unordered pairs;
+    diametral_pair is the lexicographically first pair u < v with
+    d(u, v) = diam; boundary_info is the boundary and its set eccentricity.
+    """
 
     d: tuple[tuple[int, ...], ...]
     ecc: tuple[int, ...]
     diam: int
+    wiener: int
+    diametral_pair: tuple[int, int]
+    boundary_info: BoundaryInfo
 
     @property
     def n(self) -> int:
         return len(self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryInfo:
     """The boundary B (vertices of maximum eccentricity) and its set eccentricity.
 
@@ -56,17 +64,35 @@ def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source; connectivity is guaranteed by Graph."""
+    """BFS from every source, then every invariant from the rows.
+
+    Connectivity is guaranteed by Graph.
+    """
     rows = tuple(_bfs_row(g, v) for v in range(g.n))
-    ecc = tuple(max(row) for row in rows)
-    return DistanceMatrix(d=rows, ecc=ecc, diam=max(ecc))
+    ecc = tuple(map(max, rows))
+    diam = max(ecc)
+    boundary = tuple(v for v, e in enumerate(ecc) if e == diam)
+    # the lowest boundary vertex u starts the first diametral pair, and its
+    # first partner v is above u, since a partner is a boundary vertex too
+    u = boundary[0]
+    # column v of the boundary rows holds d(b, v) for every b in B
+    to_boundary = list(map(min, zip(*(rows[b] for b in boundary))))
+    r_ecc = max(to_boundary)
+    return DistanceMatrix(
+        d=rows,
+        ecc=ecc,
+        diam=diam,
+        wiener=sum(map(sum, rows)) // 2,
+        diametral_pair=(u, rows[u].index(diam)),
+        boundary_info=BoundaryInfo(boundary, r_ecc, to_boundary.index(r_ecc)),
+    )
 
 
 def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:
     """Sum of distances over unordered vertex pairs."""
     if dm is None:
         dm = all_pairs_distances(g)
-    return sum(sum(row) for row in dm.d) // 2
+    return dm.wiener
 
 
 def average_distance(g: Graph, dm: DistanceMatrix | None = None) -> Fraction:
@@ -78,12 +104,4 @@ def boundary_and_set_ecc(g: Graph, dm: DistanceMatrix) -> BoundaryInfo:
     """Boundary vertices (eccentricity == diameter) and their set eccentricity."""
     if dm.n != g.n:
         raise ValueError("distance matrix does not match graph order")
-    boundary = tuple(v for v in range(g.n) if dm.ecc[v] == dm.diam)
-    best_dist = 0
-    witness = 0
-    for v in range(g.n):
-        to_boundary = min(dm.d[v][b] for b in boundary)
-        if to_boundary > best_dist:
-            best_dist = to_boundary
-            witness = v
-    return BoundaryInfo(boundary=boundary, ecc_of_boundary=best_dist, witness=witness)
+    return dm.boundary_info

@@ -83,3 +83,26 @@ def max_pair_sum_by_enumeration(g: Graph, r: int) -> int:
         sum(dist[u][v] for u, v in combinations(subset, 2))
         for subset in combinations(range(g.n), r)
     )
+
+
+def first_diametral_pair_by_scan(d: list[list[int]]) -> tuple[int, int]:
+    """The minimum pair (u, v), u < v, with d(u, v) equal to the diameter."""
+    n = len(d)
+    diam = max(map(max, d))
+    return min((u, v) for u in range(n) for v in range(u + 1, n) if d[u][v] == diam)
+
+
+def boundary_by_scan(d: list[list[int]]) -> tuple[tuple[int, ...], int, int]:
+    """(boundary, ecc(B), lowest vertex at distance ecc(B) from B) by plain loops."""
+    n = len(d)
+    ecc = [max(row) for row in d]
+    diam = max(ecc)
+    boundary = tuple(v for v in range(n) if ecc[v] == diam)
+    best_dist = 0
+    witness = 0
+    for v in range(n):
+        to_boundary = min(d[v][b] for b in boundary)
+        if to_boundary > best_dist:
+            best_dist = to_boundary
+            witness = v
+    return boundary, best_dist, witness

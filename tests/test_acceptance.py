@@ -7,6 +7,9 @@ lines.  Corpora: bundled package fixtures for n <= 5, cached generated files
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import pytest
 
 from domdist.bounds import assemble_report
@@ -26,6 +29,8 @@ from graphutil import star_graph, spider
 ORDERS = range(2, 9)
 EXPECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 LIFT_SET_CAP_N8 = 50
+# sha256 of `domdist verify tests/data/connected_n8.g6 --jsonl` output
+N8_JSONL_SHA256 = "30c07baec0db0440e751c95d0974b7058aad30f5a7fb2819d5cccef8e55161eb"
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -210,3 +215,20 @@ def test_criterion_8_determinism(tmp_path):
         f"exit codes ({code1}, {code2}), byte-identical={identical}",
     )
     assert ok
+
+
+@pytest.mark.skipif(bool(os.environ.get("DOMDIST_CORPUS_DIR")),
+                    reason="the pinned hash is of the bundled n=8 corpus")
+def test_n8_jsonl_is_pinned(reports):
+    """The JSONL of the n=8 corpus hashes to the pinned sha256."""
+    digest = hashlib.sha256()
+    for rep in reports[8]:
+        digest.update((rep.jsonl_line() + "\n").encode("ascii"))
+    assert digest.hexdigest() == N8_JSONL_SHA256
+
+
+def test_triple_equalities_exactly_when_the_triple_bound_is_tight(reports):
+    """A report lists equality triples iff its triple check has equality."""
+    for reps in reports.values():
+        for rep in reps:
+            assert bool(rep.triple_equalities) == rep.check("triple").equality, rep.graph6

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domdist.bounds import (
     DEFAULT_SUBSET_BUDGET,
+    TripleEquality,
     assemble_report,
     average_distance_lb,
     best_triple_lb,
@@ -19,7 +21,9 @@ from domdist.bounds import (
 from domdist.distance import all_pairs_distances, boundary_and_set_ecc
 from domdist.domination import gamma_bruteforce_oracle
 from domdist.errors import BadR
+from domdist.graphs import parse_graph6
 
+import corpusgen
 from conftest import connected_graphs
 from graphutil import (
     complete_graph,
@@ -109,6 +113,17 @@ class TestTripleEqualityAnalysis:
 
     def test_p4_empty(self):
         assert triple_equality_analysis(2, _dm(path_graph(4))) == ()
+
+    @given(connected_graphs(), st.integers(1, 4))
+    def test_matches_combinations_scan(self, g, gamma):
+        dm = _dm(g)
+        d = dm.d
+        expected = []
+        for i, j, k in combinations(range(g.n), 3):
+            dists = (d[i][j], d[i][k], d[j][k])
+            if sum(dists) == 6 * gamma:
+                expected.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
+        assert triple_equality_analysis(gamma, dm) == tuple(expected)
 
 
 class TestRSubsetBound:
@@ -316,3 +331,35 @@ class TestAssembleReport:
             if not c.skipped:
                 assert c.value <= rep.gamma
                 assert c.slack >= 0
+
+
+def _sorted_dumps(rep):
+    return json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+class TestJsonlWriter:
+    """jsonl_line writes what json.dumps(sort_keys=True) makes of to_json_dict."""
+
+    def test_every_graph_of_order_seven(self):
+        tokens = corpusgen.corpus_path(7).read_text(encoding="ascii").split()
+        assert any("\\" in t for t in tokens)  # graph ids that JSON escapes
+        for token in tokens:
+            rep = assemble_report(parse_graph6(token), graph_id=token)
+            assert rep.jsonl_line() == _sorted_dumps(rep)
+
+    @given(connected_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, g):
+        rep = assemble_report(g)
+        assert rep.jsonl_line() == _sorted_dumps(rep)
+
+    @pytest.mark.parametrize("build", [
+        lambda: assemble_report(path_graph(2)),  # "requires n >= 3", "r=3 exceeds n=2"
+        lambda: assemble_report(path_graph(32), rs=(5,)),  # "budget"
+        lambda: assemble_report(complete_graph(4)),  # spade is null
+        lambda: assemble_report(star_graph(3)),  # one triple equality
+        lambda: assemble_report(path_graph(4), graph_id='a"b\\cé'),
+    ], ids=["K2", "P32-r5", "K4", "K13", "escaped-id"])
+    def test_edge_cases(self, build):
+        rep = build()
+        assert rep.jsonl_line() == _sorted_dumps(rep)

@@ -14,9 +14,11 @@ from domdist.graphs import Graph
 
 from conftest import connected_graphs
 from graphutil import (
+    boundary_by_scan,
     complete_graph,
     cycle_graph,
     distance_matrix_by_enumeration,
+    first_diametral_pair_by_scan,
     path_graph,
     spider,
     star_graph,
@@ -146,3 +148,26 @@ class TestBoundary:
         assert bi.ecc_of_boundary == max(dist_to_b)
         assert dist_to_b[bi.witness] == bi.ecc_of_boundary
         assert (bi.ecc_of_boundary == 0) == (len(bi.boundary) == g.n)
+
+
+def _summary_matches_scans(g):
+    dm = all_pairs_distances(g)
+    d = [list(row) for row in dm.d]
+    assert dm.diametral_pair == first_diametral_pair_by_scan(d)
+    assert dm.wiener == sum(map(sum, d)) // 2
+    bi = boundary_and_set_ecc(g, dm)
+    assert bi is dm.boundary_info
+    assert (bi.boundary, bi.ecc_of_boundary, bi.witness) == boundary_by_scan(d)
+
+
+class TestDistanceSummary:
+    """The invariants all_pairs_distances derives from its rows, against plain scans."""
+
+    def test_every_graph_up_to_seven_vertices(self, corpus):
+        for n in range(2, 8):
+            for g in corpus(n):
+                _summary_matches_scans(g)
+
+    @given(connected_graphs(max_n=12))
+    def test_random_graphs(self, g):
+        _summary_matches_scans(g)
