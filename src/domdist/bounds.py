@@ -17,10 +17,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 from typing import Sequence
 
-from .distance import BoundaryInfo, DistanceMatrix, all_pairs_distances
+from .distance import DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
 from .errors import BadR
 from .graphs import Graph, encode_graph6
@@ -29,6 +30,9 @@ BOUND_DIAMETER = "diameter"
 BOUND_TRIPLE = "triple"
 BOUND_AVERAGE_DISTANCE = "average-distance"
 BOUND_BOUNDARY_ECC = "boundary-ecc"
+
+VIOLATION_TRIPLE_MOD3 = "triple-mod3"  # an equality triple with a distance != 2 (mod 3)
+VIOLATION_SPADE = "boundary-ecc-spade"  # the boundary-ecc triple-distance diagnostic
 
 DEFAULT_RS = (3, 4, 5)
 DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
@@ -108,25 +112,21 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    Subsets are walked in lexicographic order.  A prefix carries its pair
-    sum and, per vertex, the summed distance to the prefix, so the last
-    three slots are plain nested loops that add O(1) per subset.
+    Subsets are visited in lexicographic order: each (r-3)-prefix in turn,
+    with its pair sum and, per vertex, the summed distance to the prefix, so
+    the last three slots are plain nested loops that add O(1) per subset.
     """
     d = dm.d
     n = dm.n
     best = -1
     best_subset: tuple[int, ...] = ()
-    prefix: list[int] = []
-
-    def walk(start: int, partial: int, to_prefix: list[int], left: int) -> None:
-        nonlocal best, best_subset
-        if left > 3:
-            for v in range(start, n - left + 1):
-                prefix.append(v)
-                walk(v + 1, partial + to_prefix[v], list(map(add, to_prefix, d[v])), left - 1)
-                prefix.pop()
-            return
-        for i in range(start, n - 2):
+    for prefix in combinations(range(n - 3), r - 3):
+        partial = 0
+        to_prefix = [0] * n
+        for v in prefix:
+            partial += to_prefix[v]
+            to_prefix = list(map(add, to_prefix, d[v]))
+        for i in range(prefix[-1] + 1 if prefix else 0, n - 2):
             di = d[i]
             si = partial + to_prefix[i]
             for j in range(i + 1, n - 1):
@@ -137,8 +137,6 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
                     if total > best:
                         best = total
                         best_subset = (*prefix, i, j, k)
-
-    walk(0, 0, [0] * n, r)
     return best, best_subset
 
 
@@ -205,25 +203,24 @@ def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...]) -> Bo
     )
 
 
-def average_distance_lb(gamma: int, g: Graph, dm: DistanceMatrix | None = None) -> BoundCheck:
+def average_distance_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """n(n-1)*gamma >= W(G); the bound value is the average distance."""
-    if dm is None:
-        dm = all_pairs_distances(g)
     w = dm.wiener
-    den = g.n * (g.n - 1)
+    den = dm.n * (dm.n - 1)
     return _check(
         BOUND_AVERAGE_DISTANCE, gamma, w, den, (),
         {"wiener": w, "margin": den * gamma - w},
     )
 
 
-def boundary_ecc_lb(gamma: int, bi: BoundaryInfo, dm: DistanceMatrix) -> BoundCheck:
+def boundary_ecc_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """2*gamma >= ecc(B) + 1, plus the triple-distance diagnostic behind it.
 
     When the boundary is a proper subset, a diametral pair (x, y) and the
     set-eccentricity witness z must satisfy d(x,y)+d(x,z)+d(y,z) >= 3R+1;
     the diagnostic records that sum.
     """
+    bi = dm.boundary_info
     r_ecc = bi.ecc_of_boundary
     detail: dict = {"R": r_ecc, "boundary": list(bi.boundary), "z": bi.witness}
     if len(bi.boundary) < dm.n:
@@ -246,7 +243,8 @@ def boundary_ecc_lb(gamma: int, bi: BoundaryInfo, dm: DistanceMatrix) -> BoundCh
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything verified about one graph: gamma, all checks, equality triples."""
+    """Everything verified about one graph: gamma, all checks, equality
+    triples, and violations: the name of every failure, in check order."""
 
     graph6: str
     n: int
@@ -254,16 +252,17 @@ class BoundReport:
     gamma_witness: tuple[int, ...]
     checks: tuple[BoundCheck, ...]
     triple_equalities: tuple[TripleEquality, ...]
-    fatal: bool
+    violations: tuple[str, ...]
+
+    @property
+    def fatal(self) -> bool:
+        return bool(self.violations)
 
     def check(self, name: str) -> BoundCheck:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def bound_names(self) -> list[str]:
-        return [c.name for c in self.checks]
 
     def to_json_dict(self) -> dict:
         """The report as JSON-ready values; jsonl_line writes the same record."""
@@ -387,15 +386,17 @@ def assemble_report(
             checks.append(_r_subset_check(gamma, 3, triple.detail["pair_sum"], triple.witness))
         else:
             checks.append(r_subset_lb(gamma, dm, r))
-    checks.append(average_distance_lb(gamma, g, dm))
-    checks.append(boundary_ecc_lb(gamma, dm.boundary_info, dm))
+    checks.append(average_distance_lb(gamma, dm))
+    checks.append(boundary_ecc_lb(gamma, dm))
 
     equalities = triple_equality_analysis(gamma, dm)
 
-    fatal = any(c.holds is False for c in checks)
-    fatal = fatal or any(not t.mod3_ok for t in equalities)
-    spade = checks[-1].detail.get("spade")
-    fatal = fatal or (spade is not None and not spade["ok"])
+    violations = [c.name for c in checks if c.holds is False]
+    if any(not t.mod3_ok for t in equalities):
+        violations.append(VIOLATION_TRIPLE_MOD3)
+    spade = checks[-1].detail["spade"]
+    if spade is not None and not spade["ok"]:
+        violations.append(VIOLATION_SPADE)
 
     return BoundReport(
         graph6=graph_id if graph_id is not None else encode_graph6(g),
@@ -404,5 +405,5 @@ def assemble_report(
         gamma_witness=result.witness,
         checks=tuple(checks),
         triple_equalities=equalities,
-        fatal=fatal,
+        violations=tuple(violations),
     )

@@ -24,6 +24,7 @@ from .harness import (
     FORMAT_EDGELIST,
     FORMAT_GRAPH6,
     VerifyConfig,
+    _iter_graph6_entries,
     counterexample_demo,
     run_corpus_verify,
     scan_tight_instances,
@@ -55,14 +56,12 @@ def _parse_vertex_set(text: str) -> tuple[int, ...]:
 def _load_single_graph(spec: str, fmt: str) -> Graph:
     """Load one graph from a file path, or from a literal graph6 string."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
         if fmt == FORMAT_GRAPH6:
-            lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-            if not lines:
-                raise GraphInputError(f"no graph6 line in {spec}")
-            return parse_graph6(lines[0])
-        return parse_edgelist(text)
+            for _, line in _iter_graph6_entries(spec):
+                return parse_graph6(line)
+            raise GraphInputError(f"no graph6 line in {spec}")
+        with open(spec, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return parse_edgelist(fh.read())
     if fmt == FORMAT_GRAPH6:
         return parse_graph6(spec)
     raise GraphInputError(f"no such file: {spec}")
@@ -136,7 +135,7 @@ def _cmd_lift(args) -> int:
     lift = lift_gamma_set_to_spanning_tree(g, m)
     print(f"gamma set: {sorted(set(m))}")
     print(f"tree edges: {list(lift.tree_edges)}")
-    print(f"dominators: {dict(sorted(lift.dominator_of.items()))}")
+    print(f"dominators: {dict(lift.dominator_of)}")
     print(f"connector edges: {list(lift.connector_edges)}")
     check = verify_lift(g, lift, m)
     print(f"verified: {check.ok}" + (f" ({check.reason})" if check.reason else ""))

@@ -70,9 +70,11 @@ def gamma_exact(g: Graph) -> DominationResult:
 
     Branching: take an uncovered vertex with the fewest coverage options
     (its closed neighborhood; ties to the lowest index) and branch on which
-    neighbor covers it.  A greedy cover seeds the incumbent.  A branch is cut
-    when |chosen| + ceil(|uncovered| / max gain) reaches the incumbent, where
-    max gain is the most uncovered vertices one closed neighborhood covers.
+    neighbor covers it, lowest first.  A greedy cover seeds the incumbent.  A
+    branch is cut when |chosen| + ceil(|uncovered| / max gain) reaches the
+    incumbent, where max gain is the most uncovered vertices one closed
+    neighborhood covers.  The search is a loop over an explicit stack, so its
+    depth is not bounded by the recursion limit.
     """
     if g._gamma is None:
         object.__setattr__(g, "_gamma", _branch_and_bound(g))
@@ -88,19 +90,19 @@ def _branch_and_bound(g: Graph) -> DominationResult:
     best_size = len(greedy)
     best_set = tuple(sorted(greedy))
 
-    chosen: list[int] = []
-
-    def dfs(covered: int) -> None:
-        nonlocal best_size, best_set
+    # (covered mask, chosen) nodes; children pushed highest first pop in preorder
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
         if covered == full:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = tuple(sorted(chosen))
-            return
+            continue
         uncovered = full & ~covered
         max_gain = max((m & uncovered).bit_count() for m in masks)
         if len(chosen) + -(-uncovered.bit_count() // max_gain) >= best_size:
-            return
+            continue
         # smallest closed neighborhood among uncovered vertices, lowest index first
         branch_vertex = -1
         branch_options = n + 2
@@ -109,15 +111,10 @@ def _branch_and_bound(g: Graph) -> DominationResult:
                 branch_options = m.bit_count()
                 branch_vertex = v
         options = masks[branch_vertex]
-        while options:  # the members of N[branch_vertex], in increasing order
-            low = options & -options
-            u = low.bit_length() - 1
-            chosen.append(u)
-            dfs(covered | masks[u])
-            chosen.pop()
-            options ^= low
-
-    dfs(0)
+        while options:  # the members of N[branch_vertex], in decreasing order
+            u = options.bit_length() - 1
+            stack.append((covered | masks[u], (*chosen, u)))
+            options ^= 1 << u
     return DominationResult(gamma=best_size, witness=best_set)
 
 

@@ -138,11 +138,7 @@ def run_corpus_verify(
             summary.graphs_processed += 1
             if item.fatal:
                 summary.violations += 1
-                for c in item.checks:
-                    if c.holds is False:
-                        summary.violation_details.append((token, c.name))
-                if any(not t.mod3_ok for t in item.triple_equalities):
-                    summary.violation_details.append((token, "triple-mod3"))
+                summary.violation_details.extend((token, v) for v in item.violations)
             for c in item.checks:
                 if c.skipped:
                     continue

@@ -23,13 +23,15 @@ from .graphs import Graph
 class SpanningTreeLift:
     """Edge set of the lifted tree plus the dominator assignment realizing it.
 
-    tree_edges is kept as a sorted edge tuple rather than a Graph so that
-    verify_lift can classify invalid (e.g. disconnected) tampered inputs,
-    which the Graph constructor would reject outright.
+    dominator_of holds a (vertex, dominator) pair for every vertex outside
+    M, sorted by vertex, so a lift is a hashable value.  tree_edges is kept
+    as a sorted edge tuple rather than a Graph so that verify_lift can
+    classify invalid (e.g. disconnected) tampered inputs, which the Graph
+    constructor would reject outright.
     """
 
     tree_edges: tuple[tuple[int, int], ...]
-    dominator_of: dict[int, int]
+    dominator_of: tuple[tuple[int, int], ...]
     connector_edges: tuple[tuple[int, int], ...]
 
     def tree(self) -> Graph:
@@ -66,13 +68,14 @@ def lift_gamma_set_to_spanning_tree(g: Graph, m: Iterable[int]) -> SpanningTreeL
     # mask of the component named c
     label = list(range(g.n))
     members = {c: 1 << c for c in mset}
-    dominator_of = {}
+    dominator_of = []
     for v, mask in enumerate(g.closed_masks):
         if not in_m >> v & 1:
             options = mask & in_m
-            d = dominator_of[v] = label[v] = (options & -options).bit_length() - 1
+            d = label[v] = (options & -options).bit_length() - 1
+            dominator_of.append((v, d))
             members[d] |= 1 << v
-    star_edges = [(min(v, d), max(v, d)) for v, d in dominator_of.items()]
+    star_edges = [(min(v, d), max(v, d)) for v, d in dominator_of]
 
     # the lexicographically first edge leaving a component joins it to
     # another, until one component is left
@@ -90,7 +93,7 @@ def lift_gamma_set_to_spanning_tree(g: Graph, m: Iterable[int]) -> SpanningTreeL
     tree_edges = tuple(sorted(star_edges + connectors))
     return SpanningTreeLift(
         tree_edges=tree_edges,
-        dominator_of=dominator_of,
+        dominator_of=tuple(dominator_of),
         connector_edges=tuple(connectors),
     )
 
@@ -130,11 +133,14 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     if not all(0 <= v < n for v in mset) or not is_dominating_set(tree, mset):
         return LiftCheck(False, "MNotDominating")
 
-    if set(lift.dominator_of) != set(range(n)) - mset:
-        return LiftCheck(False, "BadDominatorMap")
-    for v, dom in lift.dominator_of.items():
-        if dom not in mset or not tree.has_edge(v, dom):
+    try:  # each vertex outside M once, in order, with a tree neighbor in M
+        if [v for v, _ in lift.dominator_of] != sorted(set(range(n)) - mset):
             return LiftCheck(False, "BadDominatorMap")
+        for v, dom in lift.dominator_of:
+            if dom not in mset or not tree.has_edge(v, dom):
+                return LiftCheck(False, "BadDominatorMap")
+    except (TypeError, ValueError):  # a malformed pair
+        return LiftCheck(False, "BadDominatorMap")
 
     solve = gamma_bruteforce_oracle if n <= ENUMERATION_CAP else gamma_exact
     if solve(g).gamma == len(mset):

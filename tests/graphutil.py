@@ -7,6 +7,7 @@ matching value really is independent confirmation.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -42,6 +43,19 @@ def spider(*leg_lengths: int) -> Graph:
             prev = nxt
             nxt += 1
     return Graph.from_edges(nxt, edges)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r*cols + c at row r, column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    """A random recursive tree: vertex v joins a uniform earlier vertex."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def to_networkx(g: Graph) -> nx.Graph:

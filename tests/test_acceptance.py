@@ -7,6 +7,7 @@ lines.  Corpora: bundled package fixtures for n <= 5, cached generated files
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 
@@ -48,6 +49,32 @@ def reports(corpora):
         n: [assemble_report(g) for g in graphs]
         for n, graphs in corpora.items()
     }
+
+
+def _reports_as_jsonl(graphs):
+    for g in graphs:
+        assemble_report(g).jsonl_line()
+
+
+def _lift_every_min_set(graphs):
+    for g in graphs:
+        for m in enumerate_min_dominating_sets(g):
+            verify_lift(g, lift_gamma_set_to_spanning_tree(g, m), m)
+
+
+@pytest.mark.parametrize("run", [_reports_as_jsonl, _lift_every_min_set])
+def test_no_reference_cycles_left_behind(run):
+    """With the cyclic collector off, a run over every n=7 graph leaves it
+    nothing to free: the searches hold no self-referencing closures."""
+    graphs = corpusgen.load_corpus(7)  # fresh Graphs, so gamma is solved here
+    gc.collect()
+    gc.disable()
+    try:
+        run(graphs)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_criterion_1_oracle_equivalence(corpora):

@@ -18,7 +18,7 @@ from domdist.bounds import (
     r_subset_lb,
     triple_equality_analysis,
 )
-from domdist.distance import all_pairs_distances, boundary_and_set_ecc
+from domdist.distance import all_pairs_distances
 from domdist.domination import gamma_bruteforce_oracle
 from domdist.errors import BadR
 from domdist.graphs import parse_graph6
@@ -187,19 +187,19 @@ class TestRSubsetBound:
 
 class TestAverageDistanceBound:
     def test_k2(self):
-        c = average_distance_lb(1, path_graph(2))
+        c = average_distance_lb(1, _dm(path_graph(2)))
         assert c.detail["wiener"] == 1
         assert c.value == Fraction(1, 2)
         assert c.holds
 
     def test_c6(self):
-        c = average_distance_lb(2, cycle_graph(6))
+        c = average_distance_lb(2, _dm(cycle_graph(6)))
         assert c.detail["wiener"] == 27
         assert c.value == Fraction(9, 10)
         assert c.holds and not c.equality
 
     def test_star_k15(self):
-        c = average_distance_lb(1, star_graph(5))
+        c = average_distance_lb(1, _dm(star_graph(5)))
         assert c.detail["wiener"] == 25
         assert c.value == Fraction(25, 30)
         assert c.holds
@@ -208,7 +208,7 @@ class TestAverageDistanceBound:
 class TestBoundaryEccBound:
     def test_k4_trivial(self):
         g = complete_graph(4)
-        c = boundary_ecc_lb(1, boundary_and_set_ecc(g, _dm(g)), _dm(g))
+        c = boundary_ecc_lb(1, _dm(g))
         assert c.detail["R"] == 0
         assert c.value == Fraction(1, 2)
         assert c.holds and not c.equality
@@ -217,14 +217,14 @@ class TestBoundaryEccBound:
     def test_star_equality(self):
         g = star_graph(3)
         dm = _dm(g)
-        c = boundary_ecc_lb(1, boundary_and_set_ecc(g, dm), dm)
+        c = boundary_ecc_lb(1, dm)
         assert c.detail["R"] == 1
         assert c.value == Fraction(1) and c.equality
 
     def test_p7(self):
         g = path_graph(7)
         dm = _dm(g)
-        c = boundary_ecc_lb(3, boundary_and_set_ecc(g, dm), dm)
+        c = boundary_ecc_lb(3, dm)
         assert c.detail["R"] == 3
         assert c.holds and not c.equality
         spade = c.detail["spade"]
@@ -237,7 +237,7 @@ class TestBoundaryEccBound:
     def test_spade_diagnostic_always_holds(self, g):
         dm = _dm(g)
         gamma = gamma_bruteforce_oracle(g).gamma
-        c = boundary_ecc_lb(gamma, boundary_and_set_ecc(g, dm), dm)
+        c = boundary_ecc_lb(gamma, dm)
         assert c.holds
         spade = c.detail["spade"]
         if spade is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -77,6 +78,12 @@ class TestAnalyze:
         assert main([command, str(path), "--format", fmt]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_graph6_header_line_accepted(self, tmp_path, capsys):
+        path = tmp_path / "c4.g6"
+        path.write_text(">>graph6<<\nCl\n")
+        assert main(["analyze", str(path)]) == 0
+        assert "graph: Cl  n=4" in capsys.readouterr().out
+
     def test_huge_header_order_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.el"
         path.write_text("n 200000\n0 1\n")
@@ -150,6 +157,24 @@ class TestVerify:
         assert "processed: 1" in out
         assert "skipped:   1" in out
 
+    def test_failing_spade_diagnostic_is_named(self, monkeypatch, capsys):
+        # plant a failed triple-distance diagnostic on every graph that has one
+        real = bounds.boundary_ecc_lb
+
+        def failing_spade(gamma, dm):
+            c = real(gamma, dm)
+            spade = c.detail["spade"]
+            if spade is None:
+                return c
+            return dataclasses.replace(c, detail=c.detail | {"spade": spade | {"ok": False}})
+
+        monkeypatch.setattr(bounds, "boundary_ecc_lb", failing_spade)
+        assert main(["verify", str(bundled_corpus_path(5))]) == 1
+        out = capsys.readouterr().out
+        named = [line for line in out.splitlines() if line.endswith(": boundary-ecc-spade")]
+        assert "violations: 16" in out
+        assert len(named) == 16
+
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["verify", "nosuchcorpus.g6"]) == 2
 
@@ -196,6 +221,18 @@ class TestLift:
         out = capsys.readouterr().out
         assert "gamma set: [0, 2]" in out
         assert "verified: True" in out
+
+    def test_graph6_header_line_accepted(self, tmp_path, capsys):
+        path = tmp_path / "c4.g6"
+        path.write_text(">>graph6<<\nCl\n")
+        assert main(["lift", str(path), "--set", "0,2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gamma set: [0, 2]",
+            "tree edges: [(0, 1), (0, 3), (1, 2)]",
+            "dominators: {1: 0, 3: 0}",
+            "connector edges: [(1, 2)]",
+            "verified: True",
+        ]
 
     def test_non_gamma_set_exits_2(self, capsys):
         assert main(["lift", "Cl", "--set", "0"]) == 2

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import ceil
 
@@ -15,7 +16,15 @@ from domdist.graphs import Graph
 from domdist.harness import COUNTEREXAMPLE_EDGES
 
 from conftest import connected_graphs
-from graphutil import complete_graph, cycle_graph, path_graph, spider, star_graph
+from graphutil import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_tree,
+    spider,
+    star_graph,
+)
 
 
 class TestIsDominatingSet:
@@ -61,6 +70,35 @@ class TestGammaExact:
     def test_deterministic(self):
         g = cycle_graph(9)
         assert gamma_exact(g) == gamma_exact(g)
+
+    # witnesses recorded from the recursive search this one replaced: they
+    # pin the branching order, where a different order finds another set
+    @pytest.mark.parametrize("build, witness", [
+        (lambda: grid_graph(4, 5), (0, 3, 6, 10, 14, 17)),
+        (lambda: grid_graph(5, 6), (0, 4, 8, 12, 17, 21, 25, 28)),
+        (lambda: spider(4, 4, 4), (0, 3, 7, 11)),
+        (lambda: random_tree(40, seed=7),
+         (1, 2, 3, 6, 7, 8, 9, 12, 14, 17, 18, 20, 26, 34)),
+    ], ids=["grid4x5", "grid5x6", "spider444", "tree40"])
+    def test_witness_pinned_above_n8(self, build, witness):
+        assert gamma_exact(build()).witness == witness
+
+    def test_depth_not_bounded_by_recursion_limit(self):
+        g = spider(*[2] * 10)  # each leg needs its own dominator: gamma = 10
+        limit = sys.getrecursionlimit()
+        depth = 1  # the interpreter refuses a limit at or below its current depth
+        try:
+            while True:
+                try:
+                    sys.setrecursionlimit(depth + 1)
+                    break
+                except RecursionError:
+                    depth += 1
+            sys.setrecursionlimit(depth + 5)
+            result = gamma_exact(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.gamma == 10
 
 
 class TestBruteforceOracle:

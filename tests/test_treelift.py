@@ -24,9 +24,17 @@ class TestLiftConstruction:
     def test_c4_frozen_example(self):
         lift = lift_gamma_set_to_spanning_tree(cycle_graph(4), (0, 2))
         assert lift.tree_edges == ((0, 1), (0, 3), (1, 2))
-        assert lift.dominator_of == {1: 0, 3: 0}
+        assert lift.dominator_of == ((1, 0), (3, 0))
         assert lift.connector_edges == ((1, 2),)
         assert gamma_bruteforce_oracle(lift.tree()).gamma == 2
+
+    def test_lift_is_hashable(self):
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        same = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        other = lift_gamma_set_to_spanning_tree(g, (1, 3))
+        assert hash(lift) == hash(same)
+        assert len({lift, same, other}) == 2
 
     def test_k4_single_center(self):
         lift = lift_gamma_set_to_spanning_tree(complete_graph(4), (0,))
@@ -88,10 +96,22 @@ class TestVerifyLift:
     def test_bad_dominator_map(self):
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
-        tampered = dataclasses.replace(lift, dominator_of={1: 0})
+        tampered = dataclasses.replace(lift, dominator_of=((1, 0),))
         check = verify_lift(g, tampered, (0, 2))
         assert not check
         assert check.reason == "BadDominatorMap"
+
+    @pytest.mark.parametrize("dominator_of", [
+        ((3, 0), (1, 0)),  # not sorted by vertex
+        ((1, 0), (1, 0), (3, 0)),  # a vertex twice
+        ((1,), (3, 0)),  # not a pair
+        ((1, [0]), (3, 0)),  # an unhashable dominator
+    ])
+    def test_malformed_dominator_pairs(self, dominator_of):
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        tampered = dataclasses.replace(lift, dominator_of=dominator_of)
+        assert verify_lift(g, tampered, (0, 2)).reason == "BadDominatorMap"
 
     def test_set_not_dominating_tree(self):
         # the lift's tree is a valid spanning tree, but {0} leaves vertex 2 undominated
@@ -105,7 +125,7 @@ class TestVerifyLift:
         # the star at 0 is dominated by {0} alone, so M = {0, 1} is not minimum in it
         lift = SpanningTreeLift(
             tree_edges=((0, 1), (0, 2), (0, 3)),
-            dominator_of={2: 0, 3: 0},
+            dominator_of=((2, 0), (3, 0)),
             connector_edges=(),
         )
         check = verify_lift(complete_graph(4), lift, (0, 1))
@@ -116,7 +136,7 @@ class TestVerifyLift:
         # gamma(P4) = 2 = |M|, but gamma(K4) = 1
         lift = SpanningTreeLift(
             tree_edges=((0, 1), (1, 2), (2, 3)),
-            dominator_of={0: 1, 3: 2},
+            dominator_of=((0, 1), (3, 2)),
             connector_edges=((1, 2),),
         )
         check = verify_lift(complete_graph(4), lift, (1, 2))
