@@ -6,8 +6,9 @@ tree), counterexample (the 6-vertex diametral-path demo).
 
 Exit codes: 0 success, 1 theorem violation or failed verification, 2 usage
 or input error.  verify and tight skip malformed corpus entries and count
-them (verify on stdout, tight on stderr, so its stdout stays one token per
-line); verify --strict exits 2 on the first one instead.
+them (verify on stdout, tight on stderr next to its budget-skipped count,
+so its stdout stays one token per line); verify --strict exits 2 on the
+first one instead.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import sys
 
 from .bounds import BoundReport, DEFAULT_RS, assemble_report
 from .domination import gamma_exact
-from .errors import DomdistError, GraphInputError
+from .errors import DomdistError, GraphInputError, MalformedLine
 from .graphs import Graph, parse_edgelist, parse_graph6
 from .harness import (
     FORMAT_EDGELIST,
     FORMAT_GRAPH6,
     VerifyConfig,
+    _iter_edgelist_blocks,
     _iter_graph6_entries,
     counterexample_demo,
     run_corpus_verify,
@@ -54,14 +56,15 @@ def _parse_vertex_set(text: str) -> tuple[int, ...]:
 
 
 def _load_single_graph(spec: str, fmt: str) -> Graph:
-    """Load one graph from a file path, or from a literal graph6 string."""
+    """Load a file's first graph, or a literal graph6 string."""
     if os.path.exists(spec):
         if fmt == FORMAT_GRAPH6:
             for _, line in _iter_graph6_entries(spec):
                 return parse_graph6(line)
             raise GraphInputError(f"no graph6 line in {spec}")
-        with open(spec, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return parse_edgelist(fh.read())
+        for _, block in _iter_edgelist_blocks(spec):
+            return parse_edgelist(block)
+        raise MalformedLine(f"no edge-list block in {spec}")
     if fmt == FORMAT_GRAPH6:
         return parse_graph6(spec)
     raise GraphInputError(f"no such file: {spec}")
@@ -120,12 +123,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tight(args) -> int:
-    config = VerifyConfig(fmt=args.format, rs=args.r)
-    tight, skipped = scan_tight_instances(args.corpus, args.bound, config)
+    tight, skipped, budget_skipped = scan_tight_instances(args.corpus, args.bound, args.format)
     for token in tight:
         print(token)
     if skipped:
         print(f"skipped: {skipped}", file=sys.stderr)
+    if budget_skipped:
+        print(f"budget-skipped: {budget_skipped}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -195,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", required=True,
                    help="diameter | triple | r-subset:R | average-distance | boundary-ecc")
     add_format(p)
-    add_r(p)
     p.set_defaults(func=_cmd_tight)
 
     p = sub.add_parser("lift", help="lift a minimum dominating set to a spanning tree")

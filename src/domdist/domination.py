@@ -118,14 +118,14 @@ def _branch_and_bound(g: Graph) -> DominationResult:
     return DominationResult(gamma=best_size, witness=best_set)
 
 
-def gamma_bruteforce_oracle(g: Graph, max_n: int = ENUMERATION_CAP) -> DominationResult:
+def gamma_bruteforce_oracle(g: Graph) -> DominationResult:
     """Exhaustive subset search in increasing size order.
 
     Independent of gamma_exact's search; the first dominating set found is
     the lexicographically least one of minimum size.
     """
-    if g.n > max_n:
-        raise TooLarge(f"n={g.n} exceeds enumeration cap {max_n}")
+    if g.n > ENUMERATION_CAP:
+        raise TooLarge(f"n={g.n} exceeds enumeration cap {ENUMERATION_CAP}")
     masks = closed_neighborhood_masks(g)
     full = (1 << g.n) - 1
     for k in range(1, g.n + 1):

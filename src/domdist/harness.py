@@ -10,7 +10,7 @@ which the parsers reject, so such an entry is malformed like any other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -179,29 +179,32 @@ def canonical_bound_name(name: str) -> str:
 
 
 def scan_tight_instances(
-    path: str, bound: str, config: VerifyConfig | None = None,
-) -> tuple[list[str], int]:
+    path: str, bound: str, fmt: str = FORMAT_GRAPH6,
+) -> tuple[list[str], int, int]:
     """Tokens of the corpus graphs whose report shows equality for the named
-    bound, in input order, and the number of malformed entries skipped."""
-    config = config or VerifyConfig()
+    bound, in input order; the number of malformed entries skipped; and the
+    number of graphs whose check for that bound was skipped for budget.
+    The reports scan only the r-subset size the bound names, if any.
+    """
     name = canonical_bound_name(bound)
-    if name.startswith("r-subset:"):
-        r = int(name.split(":")[1])
-        if r not in config.rs:
-            config = replace(config, rs=tuple(sorted(set(config.rs) | {r})))
+    rs = (int(name.split(":")[1]),) if name.startswith("r-subset:") else ()
     tight: list[str] = []
-    skipped = 0
-    for _, token, item in _corpus_reports(path, config):
+    skipped = budget_skipped = 0
+    for _, token, item in _corpus_reports(path, VerifyConfig(fmt=fmt, rs=rs)):
         if isinstance(item, GraphInputError):
             skipped += 1
-        elif item.check(name).equality:
+            continue
+        check = item.check(name)
+        if check.equality:
             tight.append(token)
-    return tight, skipped
+        elif check.skipped_reason == "budget":
+            budget_skipped += 1
+    return tight, skipped, budget_skipped
 
 
-def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = None) -> list[str]:
+def find_tight_instances(path: str, bound: str, fmt: str = FORMAT_GRAPH6) -> list[str]:
     """All corpus graphs whose report shows equality for the named bound."""
-    return scan_tight_instances(path, bound, config)[0]
+    return scan_tight_instances(path, bound, fmt)[0]
 
 
 # Counterexample to the claim that a diametral path contains at most
@@ -210,7 +213,6 @@ def find_tight_instances(path: str, bound: str, config: VerifyConfig | None = No
 COUNTEREXAMPLE_EDGES = ((0, 1), (1, 2), (2, 3), (4, 0), (4, 2), (5, 1), (5, 3))
 COUNTEREXAMPLE_GAMMA_SET = (4, 5)
 COUNTEREXAMPLE_PATH = (0, 1, 2, 3)
-COUNTEREXAMPLE_LABELS = {0: "1", 1: "2", 2: "3", 3: "4", 4: "u", 5: "v"}
 
 
 @dataclass(frozen=True)

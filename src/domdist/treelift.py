@@ -34,11 +34,6 @@ class SpanningTreeLift:
     dominator_of: tuple[tuple[int, int], ...]
     connector_edges: tuple[tuple[int, int], ...]
 
-    def tree(self) -> Graph:
-        """Materialize the tree as a Graph (validates it in the process)."""
-        n = max(max(e) for e in self.tree_edges) + 1
-        return Graph.from_edges(n, self.tree_edges)
-
 
 @dataclass(frozen=True)
 class LiftCheck:

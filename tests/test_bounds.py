@@ -258,6 +258,10 @@ class TestAssembleReport:
         assert not by_name["average-distance"].equality
         assert not rep.fatal
 
+    def test_unknown_check_name(self):
+        with pytest.raises(KeyError):
+            assemble_report(star_graph(3)).check("nope")
+
     def test_p4_only_diameter_tight(self):
         rep = assemble_report(path_graph(4))
         assert rep.gamma == 2

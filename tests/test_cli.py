@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import domdist
 from domdist import bounds
-from domdist.cli import main
+from domdist.cli import build_parser, main
 from domdist.corpora import bundled_corpus_path
 
 
@@ -89,6 +90,27 @@ class TestAnalyze:
         path.write_text("n 200000\n0 1\n")
         assert main(["analyze", str(path), "--format", "edgelist"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("graph6", ">>graph6<<\n"),
+        ("edgelist", "\n\n"),
+    ])
+    def test_file_without_a_graph_exits_2(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "empty"
+        path.write_text(text)
+        assert main(["analyze", str(path), "--format", fmt]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, expected", [
+        ("analyze", "graph: Bg  n=3"),
+        ("lift", "gamma set: [1]"),
+    ])
+    def test_first_edgelist_block_is_read(self, tmp_path, capsys, command, expected):
+        # the same two blocks that verify --format edgelist reads as two graphs
+        path = tmp_path / "two.el"
+        path.write_text("n 3\n0 1\n1 2\n\nn 4\n0 1\n1 2\n2 3\n")
+        assert main([command, str(path), "--format", "edgelist"]) == 0
+        assert expected in capsys.readouterr().out.splitlines()
 
 
 class TestVerify:
@@ -175,6 +197,16 @@ class TestVerify:
         assert "violations: 16" in out
         assert len(named) == 16
 
+    def test_failing_mod3_corollary_is_named(self, monkeypatch, capsys):
+        # plant an equality triple with distances not 2 (mod 3) on every graph
+        bad = bounds.TripleEquality(triple=(0, 1, 2), dists=(1, 1, 1), mod3_ok=False)
+        monkeypatch.setattr(bounds, "triple_equality_analysis", lambda gamma, dm: (bad,))
+        assert main(["verify", str(bundled_corpus_path(4))]) == 1
+        out = capsys.readouterr().out
+        named = [line for line in out.splitlines() if line.endswith(": triple-mod3")]
+        assert "violations: 6" in out
+        assert len(named) == 6
+
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["verify", "nosuchcorpus.g6"]) == 2
 
@@ -206,6 +238,39 @@ class TestTight:
 
     def test_unknown_bound_exits_2(self, n4_corpus, capsys):
         assert main(["tight", n4_corpus, "--bound", "nope"]) == 2
+
+    def test_budget_skips_counted_on_stderr(self, tmp_path, capsys):
+        # C(32, 5) = 201,376 exceeds the subset budget
+        path = tmp_path / "p32.el"
+        path.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31)))
+        assert main(["tight", str(path), "--format", "edgelist", "--bound", "r-subset:5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget-skipped: 1\n"
+
+    @pytest.mark.parametrize("bound, scanned", [
+        ("diameter", []),
+        ("r-subset:3", []),
+        ("r-subset:4", [4]),
+        ("r-subset(5)", [5]),
+    ])
+    def test_scans_only_the_listed_r(self, monkeypatch, capsys, bound, scanned):
+        calls = []
+        real = bounds.r_subset_lb
+
+        def recording(gamma, dm, r):
+            calls.append(r)
+            return real(gamma, dm, r)
+
+        monkeypatch.setattr(bounds, "r_subset_lb", recording)
+        assert main(["tight", str(bundled_corpus_path(5)), "--bound", bound]) == 0
+        assert sorted(set(calls)) == scanned
+
+    def test_r_is_not_an_option(self, n4_corpus, capsys):
+        # tight works out its subset size from --bound
+        with pytest.raises(SystemExit) as exc:
+            main(["tight", n4_corpus, "--bound", "r-subset:4", "--r", "3"])
+        assert exc.value.code == 2
 
 
 class TestLift:
@@ -271,3 +336,30 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", n4_corpus, "--r", "1,2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "corpus.g6", "--r", "3,x"],
+        ["lift", "Cl", "--set", "0,x"],
+    ])
+    def test_non_integer_list_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "bad" in capsys.readouterr().err
+
+    def test_option_strings_per_subcommand(self):
+        # adding, renaming or dropping a flag means editing this table
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: sorted(s for a in p._actions for s in a.option_strings
+                         if s not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "analyze": ["--format", "--jsonl", "--r"],
+            "verify": ["--format", "--jsonl", "--r", "--strict"],
+            "tight": ["--bound", "--format"],
+            "lift": ["--format", "--set"],
+            "counterexample": [],
+        }

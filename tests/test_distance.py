@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
 from domdist.distance import (
@@ -136,6 +137,10 @@ class TestBoundary:
         bi = boundary_and_set_ecc(g, all_pairs_distances(g))
         assert set(bi.boundary) == {4, 8, 12}
         assert bi.ecc_of_boundary == 4
+
+    def test_matrix_of_another_order_rejected(self):
+        with pytest.raises(ValueError):
+            boundary_and_set_ecc(path_graph(4), all_pairs_distances(path_graph(5)))
 
     @given(connected_graphs())
     def test_boundary_invariants(self, g):

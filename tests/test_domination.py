@@ -116,7 +116,6 @@ class TestBruteforceOracle:
     def test_too_large_guard(self):
         with pytest.raises(TooLarge):
             gamma_bruteforce_oracle(path_graph(21))
-        assert gamma_bruteforce_oracle(path_graph(21), max_n=25).gamma == 7
 
     def test_witness_is_lexicographically_least(self):
         g = path_graph(4)

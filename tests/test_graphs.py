@@ -152,6 +152,10 @@ class TestParseEdgelist:
         with pytest.raises(Disconnected):
             parse_edgelist("n 3\n0 1")
 
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(MalformedLine):
+            parse_edgelist("n x")
+
     def test_header_order_allocates_nothing_per_vertex(self):
         tracemalloc.start()
         try:
@@ -245,6 +249,10 @@ class TestEncodeGraph6:
         assert encode_graph6(path_graph(2)) == "A_"
         assert encode_graph6(path_graph(4)) == "Ch"
         assert encode_graph6(star_graph(3)) == "Cs"
+
+    def test_long_form_order_rejected(self):
+        with pytest.raises(InvalidGraph6):
+            encode_graph6(path_graph(63))
 
     @given(connected_graphs())
     def test_round_trip(self, g):

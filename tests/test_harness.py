@@ -88,6 +88,12 @@ class TestIterCorpus:
         assert [lineno for lineno, _, _ in entries] == [1, 2, 3]
         assert isinstance(entries[1][2], GraphInputError)
 
+    def test_blank_line_neither_processed_nor_skipped(self, tmp_path):
+        corpus = tmp_path / "gap.g6"
+        corpus.write_text("Bw\n\nCs\n")
+        summary = run_corpus_verify(str(corpus))
+        assert (summary.graphs_processed, summary.skipped) == (2, 0)
+
     def test_header_line_ignored(self, tmp_path):
         corpus = tmp_path / "hdr.g6"
         corpus.write_text(">>graph6<<\nBw\n")

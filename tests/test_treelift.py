@@ -22,11 +22,12 @@ from graphutil import complete_graph, cycle_graph, path_graph, spider, star_grap
 
 class TestLiftConstruction:
     def test_c4_frozen_example(self):
-        lift = lift_gamma_set_to_spanning_tree(cycle_graph(4), (0, 2))
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
         assert lift.tree_edges == ((0, 1), (0, 3), (1, 2))
         assert lift.dominator_of == ((1, 0), (3, 0))
         assert lift.connector_edges == ((1, 2),)
-        assert gamma_bruteforce_oracle(lift.tree()).gamma == 2
+        assert gamma_bruteforce_oracle(Graph.from_edges(g.n, lift.tree_edges)).gamma == 2
 
     def test_lift_is_hashable(self):
         g = cycle_graph(4)
@@ -37,10 +38,11 @@ class TestLiftConstruction:
         assert len({lift, same, other}) == 2
 
     def test_k4_single_center(self):
-        lift = lift_gamma_set_to_spanning_tree(complete_graph(4), (0,))
+        g = complete_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0,))
         assert lift.tree_edges == ((0, 1), (0, 2), (0, 3))
         assert lift.connector_edges == ()
-        assert lift.tree() == star_graph(3)
+        assert Graph.from_edges(g.n, lift.tree_edges) == star_graph(3)
 
     def test_tree_input_lifts_to_itself(self):
         g = spider(2, 3, 1)
@@ -111,6 +113,13 @@ class TestVerifyLift:
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
         tampered = dataclasses.replace(lift, dominator_of=dominator_of)
+        assert verify_lift(g, tampered, (0, 2)).reason == "BadDominatorMap"
+
+    def test_dominator_outside_m(self):
+        # sorted, one pair per vertex outside M, but 3's dominator is not in M
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        tampered = dataclasses.replace(lift, dominator_of=((1, 0), (3, 1)))
         assert verify_lift(g, tampered, (0, 2)).reason == "BadDominatorMap"
 
     def test_set_not_dominating_tree(self):
