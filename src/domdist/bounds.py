@@ -1,8 +1,9 @@
 """Lower bounds on the domination number from distance data.
 
 Every check is an integer comparison in cross-multiplied form (6*gamma >= S3,
-not gamma >= S3/6), with the bound value also carried as an exact Fraction.
-Equality detection therefore never depends on floating point.
+not gamma >= S3/6): a check keeps the bound as num/den and the margin
+den*gamma - num, and its Fraction value and slack are read from those on
+demand.  Equality detection therefore never depends on floating point.
 
 The triple bound and the r-subset bound for r = 3 are the same quantity
 (6 = 3*2), so report assembly scans the triples once and reports both.
@@ -45,22 +46,38 @@ def r_subset_bound_name(r: int) -> str:
     return f"{_R_SUBSET}{r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
-    """One lower-bound check: value, pass/fail, slack, and equality witnesses."""
+    """One lower-bound check gamma >= num/den, decided as margin >= 0 where
+    margin = den*gamma - num, with its witness; num is None when skipped."""
 
     name: str
-    value: Fraction | None
-    holds: bool | None
-    equality: bool
-    slack: Fraction | None
+    num: int | None
+    den: int
+    margin: int | None
     witness: tuple[int, ...]
     detail: dict = field(default_factory=dict)
     skipped_reason: str | None = None
 
     @property
     def skipped(self) -> bool:
-        return self.holds is None
+        return self.num is None
+
+    @property
+    def value(self) -> Fraction | None:
+        return None if self.num is None else Fraction(self.num, self.den)
+
+    @property
+    def slack(self) -> Fraction | None:
+        return None if self.num is None else Fraction(self.margin, self.den)
+
+    @property
+    def holds(self) -> bool | None:
+        return None if self.num is None else self.margin >= 0
+
+    @property
+    def equality(self) -> bool:
+        return self.margin == 0
 
 
 @dataclass(frozen=True)
@@ -73,38 +90,20 @@ class TripleEquality:
 
 
 def _skipped(name: str, reason: str) -> BoundCheck:
-    return BoundCheck(
-        name=name, value=None, holds=None, equality=False, slack=None,
-        witness=(), skipped_reason=reason,
-    )
+    return BoundCheck(name, None, 1, None, (), skipped_reason=reason)
 
 
 def _check(name: str, gamma: int, num: int, den: int,
            witness: tuple[int, ...], detail: dict) -> BoundCheck:
-    margin = den * gamma - num
-    return BoundCheck(
-        name=name,
-        value=Fraction(num, den),
-        holds=margin >= 0,
-        equality=margin == 0,
-        slack=Fraction(margin, den),
-        witness=witness,
-        detail=detail,
-    )
+    return BoundCheck(name, num, den, den * gamma - num, witness, detail)
 
 
 def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
-    """ceil((diam + 1) / 3) <= gamma, checked as 3*gamma >= diam + 1."""
+    """ceil((diam + 1) / 3) <= gamma, which is 3*gamma >= diam + 1."""
     diam = dm.diam
-    lb = (diam + 3) // 3
-    return BoundCheck(
-        name=BOUND_DIAMETER,
-        value=Fraction(lb),
-        holds=3 * gamma >= diam + 1,
-        equality=lb == gamma,
-        slack=Fraction(gamma - lb),
-        witness=dm.diametral_pair,
-        detail={"diam": diam, "margin": 3 * gamma - (diam + 1)},
+    return _check(
+        BOUND_DIAMETER, gamma, (diam + 3) // 3, 1, dm.diametral_pair,
+        {"diam": diam, "margin": 3 * gamma - (diam + 1)},
     )
 
 
@@ -112,17 +111,37 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    Subsets are visited in lexicographic order: each (r-3)-prefix in turn,
-    with its pair sum and, per vertex, the summed distance to the prefix, so
-    the last three slots are plain nested loops that add O(1) per subset.
+    With C the complement of X and D(v) the row sum of v,
+    S(X) = W - sum D(C) + S(C).  So when 3 <= n - r < r the scan runs over
+    the smaller sets C instead, maximising S(C) - sum D(C).  X is
+    lexicographically first exactly when C is last, so on that side a tie
+    keeps the later C.
     """
-    d = dm.d
     n = dm.n
-    best = -1
+    k = n - r
+    if 3 <= k < r:
+        best, c = _scan_pair_sums(dm.d, k, [-t for t in dm.transmission], 1)
+        return dm.wiener + best, tuple(v for v in range(n) if v not in c)
+    return _scan_pair_sums(dm.d, r, [0] * n, 0)
+
+
+def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int, base: list[int],
+                    later_ties: int) -> tuple[int, tuple[int, ...]]:
+    """max over r-subsets X of S(X) + sum of base[v] for v in X (base <= 0),
+    with the first maximiser, or the last one when later_ties is 1.
+
+    Subsets are visited in lexicographic order: each (r-3)-prefix in turn,
+    with its partial sum and, per vertex, base plus the summed distance to
+    the prefix, so the last three slots are plain nested loops that add
+    O(1) per subset.  best is kept later_ties below the maximum found, so
+    one comparison serves both tie rules.
+    """
+    n = len(d)
+    best = sum(base) - 1  # below every subset's total
     best_subset: tuple[int, ...] = ()
     for prefix in combinations(range(n - 3), r - 3):
         partial = 0
-        to_prefix = [0] * n
+        to_prefix = base
         for v in prefix:
             partial += to_prefix[v]
             to_prefix = list(map(add, to_prefix, d[v]))
@@ -135,9 +154,9 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
                 for k in range(j + 1, n):
                     total = sij + to_prefix[k] + di[k] + dj[k]
                     if total > best:
-                        best = total
+                        best = total - later_ties
                         best_subset = (*prefix, i, j, k)
-    return best, best_subset
+    return best + later_ties, best_subset
 
 
 def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
@@ -310,8 +329,10 @@ def _ints_jsonl(xs: Sequence[int]) -> str:
     return f'[{",".join(map(str, xs))}]'
 
 
-def _frac_jsonl(f: Fraction) -> str:
-    return f'{{"den":{f.denominator},"num":{f.numerator}}}'
+def _frac_jsonl(num: int, den: int) -> str:
+    # num/den in lowest terms, as Fraction(num, den) has it (den > 0)
+    g = math.gcd(num, den)
+    return f'{{"den":{den // g},"num":{num // g}}}'
 
 
 def _detail_jsonl(name: str, d: dict) -> str:
@@ -335,13 +356,14 @@ def _detail_jsonl(name: str, d: dict) -> str:
 
 
 def _check_jsonl(c: BoundCheck) -> str:
-    if c.skipped:
+    if c.num is None:
         return f'{{"bound":"{c.name}","reason":{json.dumps(c.skipped_reason)},"skipped":true}}'
+    margin = c.margin
     return (
         f'{{"bound":"{c.name}","detail":{_detail_jsonl(c.name, c.detail)},'
-        f'"equality":{_bool_jsonl(c.equality)},"holds":{_bool_jsonl(c.holds)},'
-        f'"skipped":false,"slack":{_frac_jsonl(c.slack)},"value":{_frac_jsonl(c.value)},'
-        f'"witness":{_ints_jsonl(c.witness)}}}'
+        f'"equality":{_bool_jsonl(margin == 0)},"holds":{_bool_jsonl(margin >= 0)},'
+        f'"skipped":false,"slack":{_frac_jsonl(margin, c.den)},'
+        f'"value":{_frac_jsonl(c.num, c.den)},"witness":{_ints_jsonl(c.witness)}}}'
     )
 
 

@@ -6,9 +6,10 @@ tree), counterexample (the 6-vertex diametral-path demo).
 
 Exit codes: 0 success, 1 theorem violation or failed verification, 2 usage
 or input error.  verify and tight skip malformed corpus entries and count
-them (verify on stdout, tight on stderr next to its budget-skipped count,
-so its stdout stays one token per line); verify --strict exits 2 on the
-first one instead.
+them (verify on stdout, tight on stderr, so its stdout stays one token per
+line); verify --strict exits 2 on the first one instead.  Both print the
+number of checks skipped for budget as "budget-skipped: N" on stderr when
+it is not zero.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ def _cmd_verify(args) -> int:
     for name in sorted(summary.equality_counts):
         print(f"  {name:<18} {summary.equality_counts[name]}")
     print(f"elapsed: {summary.elapsed:.3f}s")
+    if summary.budget_skipped:
+        print(f"budget-skipped: {summary.budget_skipped}", file=sys.stderr)
     return EXIT_VIOLATION if summary.violations else EXIT_OK
 
 

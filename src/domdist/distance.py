@@ -12,7 +12,8 @@ from .graphs import Graph
 class DistanceMatrix:
     """All-pairs hop counts and every distance invariant the bounds read.
 
-    wiener is W(G), the sum of d(u, v) over unordered pairs;
+    transmission[v] is D(v), the sum of row v; wiener is W(G), the sum of
+    d(u, v) over unordered pairs, so half the sum of transmission;
     diametral_pair is the lexicographically first pair u < v with
     d(u, v) = diam; boundary_info is the boundary and its set eccentricity.
     """
@@ -20,6 +21,7 @@ class DistanceMatrix:
     d: tuple[tuple[int, ...], ...]
     ecc: tuple[int, ...]
     diam: int
+    transmission: tuple[int, ...]
     wiener: int
     diametral_pair: tuple[int, int]
     boundary_info: BoundaryInfo
@@ -78,11 +80,13 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     # column v of the boundary rows holds d(b, v) for every b in B
     to_boundary = list(map(min, zip(*(rows[b] for b in boundary))))
     r_ecc = max(to_boundary)
+    transmission = tuple(map(sum, rows))
     return DistanceMatrix(
         d=rows,
         ecc=ecc,
         diam=diam,
-        wiener=sum(map(sum, rows)) // 2,
+        transmission=transmission,
+        wiener=sum(transmission) // 2,
         diametral_pair=(u, rows[u].index(diam)),
         boundary_info=BoundaryInfo(boundary, r_ecc, to_boundary.index(r_ecc)),
     )

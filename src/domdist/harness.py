@@ -46,6 +46,7 @@ class CorpusSummary:
 
     graphs_processed: int = 0
     skipped: int = 0
+    budget_skipped: int = 0  # checks skipped for the r-subset budget
     violations: int = 0
     equality_counts: dict[str, int] = field(default_factory=dict)
     violation_details: list[tuple[str, str]] = field(default_factory=list)
@@ -67,18 +68,24 @@ def _iter_graph6_entries(path: str) -> Iterator[tuple[int, str]]:
 
 
 def _iter_edgelist_blocks(path: str) -> Iterator[tuple[int, str]]:
+    # a block of comment lines alone is no graph, like a lone header line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         block: list[str] = []
         start = 0
+        content = False
         for lineno, raw in enumerate(fh, start=1):
-            if raw.strip():
+            line = raw.strip()
+            if line:
                 if not block:
                     start = lineno
                 block.append(raw)
+                content = content or not line.startswith("#")
             elif block:
-                yield start, "".join(block)
+                if content:
+                    yield start, "".join(block)
                 block = []
-        if block:
+                content = False
+        if content:
             yield start, "".join(block)
 
 
@@ -141,6 +148,8 @@ def run_corpus_verify(
                 summary.violation_details.extend((token, v) for v in item.violations)
             for c in item.checks:
                 if c.skipped:
+                    if c.skipped_reason == "budget":
+                        summary.budget_skipped += 1
                     continue
                 summary.equality_counts.setdefault(c.name, 0)
                 if c.equality:

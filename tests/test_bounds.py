@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domdist import bounds
 from domdist.bounds import (
     DEFAULT_SUBSET_BUDGET,
     TripleEquality,
+    _max_pair_sum,
     assemble_report,
     average_distance_lb,
     best_triple_lb,
@@ -183,6 +185,98 @@ class TestRSubsetBound:
         r5 = next(b for b in record["bounds"] if b["bound"] == "r-subset:5")
         assert r5 == {"bound": "r-subset:5", "reason": "budget", "skipped": True}
         assert not rep.fatal
+
+
+def _pair_sum(dm, subset):
+    return sum(dm.d[u][v] for u, v in combinations(subset, 2))
+
+
+@st.composite
+def _graph_and_subset(draw):
+    g = draw(connected_graphs(3, 10))
+    r = draw(st.integers(3, g.n))
+    subset = draw(st.lists(st.integers(0, g.n - 1), min_size=r, max_size=r, unique=True))
+    return g, tuple(sorted(subset))
+
+
+class TestPairSumIdentities:
+    """The identities the r-subset kernel and the paper's C_r rest on."""
+
+    @given(_graph_and_subset())
+    @settings(max_examples=150, deadline=None)
+    def test_complement_identity(self, drawn):
+        # S(X) = W - sum of D(c) over c outside X + S(V \ X)
+        g, x = drawn
+        dm = _dm(g)
+        c = tuple(v for v in range(g.n) if v not in x)
+        assert dm.transmission == tuple(map(sum, dm.d))
+        assert dm.wiener * 2 == sum(dm.transmission)
+        assert _pair_sum(dm, x) == (
+            dm.wiener - sum(dm.transmission[v] for v in c) + _pair_sum(dm, c))
+
+    @given(_graph_and_subset())
+    @settings(max_examples=150, deadline=None)
+    def test_triple_identity(self, drawn):
+        # every pair of X lies in r - 2 of X's triples
+        g, x = drawn
+        dm = _dm(g)
+        assert (len(x) - 2) * _pair_sum(dm, x) == sum(
+            _pair_sum(dm, t) for t in combinations(x, 3))
+
+
+class TestMaxPairSumKernel:
+    """Value and first witness of _max_pair_sum against plain enumeration,
+    on both sides of the kernel: the r-subsets, or their complements when
+    3 <= n - r < r."""
+
+    @given(connected_graphs(3, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_enumeration_for_every_r(self, g):
+        dm = _dm(g)
+        for r in range(3, g.n + 1):
+            assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), r
+
+    @pytest.mark.parametrize("g, expected", [
+        (complete_graph(8), (10, (0, 1, 2, 3, 4))),
+        (cycle_graph(8), (24, (0, 1, 2, 4, 5))),
+        (star_graph(7), (20, (1, 2, 3, 4, 5))),
+    ], ids=["K8", "C8", "K17"])
+    def test_complement_side_ties(self, g, expected):
+        # n - r = 3 < 5: the complement side, where every maximiser ties
+        # on K8, many 5-sets tie on C8 and the leaf sets tie on K_{1,7}
+        dm = _dm(g)
+        assert _max_pair_sum(dm, 5) == _first_max_pair_sum(dm, 5) == expected
+
+
+class TestIntegerChecks:
+    """A check is num/den and margin = den*gamma - num; the Fraction
+    properties are read from those."""
+
+    def test_verify_path_builds_no_fraction(self, corpus, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction built on the verify path")
+
+        reports = [assemble_report(g) for n in range(2, 7) for g in corpus(n)]
+        expected = [rep.jsonl_line() for rep in reports]
+        monkeypatch.setattr(bounds, "Fraction", no_fraction)
+        lines = [assemble_report(g).jsonl_line() for n in range(2, 7) for g in corpus(n)]
+        assert lines == expected
+
+    def test_properties_follow_num_and_den(self, corpus):
+        for n in range(2, 8):
+            for g in corpus(n):
+                rep = assemble_report(g)
+                for c in rep.checks:
+                    if c.num is None:
+                        assert (c.value, c.slack, c.holds, c.equality) == (None, None, None, False)
+                        assert c.skipped and c.margin is None
+                        continue
+                    value = Fraction(c.num, c.den)
+                    assert c.value == value
+                    assert c.slack == rep.gamma - value
+                    assert c.holds == (rep.gamma >= value)
+                    assert c.equality == (rep.gamma == value)
+                    assert not c.skipped
 
 
 class TestAverageDistanceBound:

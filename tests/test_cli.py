@@ -112,6 +112,12 @@ class TestAnalyze:
         assert main([command, str(path), "--format", "edgelist"]) == 0
         assert expected in capsys.readouterr().out.splitlines()
 
+    def test_comment_only_block_is_passed_over(self, tmp_path, capsys):
+        path = tmp_path / "c.el"
+        path.write_text("# a comment\n\nn 2\n0 1\n")
+        assert main(["analyze", str(path), "--format", "edgelist"]) == 0
+        assert "graph: A_  n=2" in capsys.readouterr().out.splitlines()
+
 
 class TestVerify:
     def test_bundled_corpus_passes(self, n4_corpus, capsys):
@@ -178,6 +184,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "processed: 1" in out
         assert "skipped:   1" in out
+
+    def test_comment_only_block_is_no_entry(self, tmp_path, capsys):
+        corpus = tmp_path / "c.el"
+        corpus.write_text("# a comment\n\nn 2\n0 1\n")
+        assert main(["verify", str(corpus), "--format", "edgelist", "--strict"]) == 0
+        out = capsys.readouterr().out
+        assert "processed: 1" in out
+        assert "skipped:   0" in out
+
+    def test_budget_skips_counted_on_stderr(self, tmp_path, capsys):
+        # C(32, 5) = 201,376 exceeds the subset budget; stdout is as before
+        path = tmp_path / "p32.el"
+        path.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31)))
+        assert main(["verify", str(path), "--format", "edgelist"]) == 0
+        captured = capsys.readouterr()
+        assert "processed: 1" in captured.out
+        assert "r-subset:5" not in captured.out
+        assert captured.err == "budget-skipped: 1\n"
+
+    def test_clean_corpus_prints_nothing_on_stderr(self, n4_corpus, capsys):
+        assert main(["verify", n4_corpus]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_failing_spade_diagnostic_is_named(self, monkeypatch, capsys):
         # plant a failed triple-distance diagnostic on every graph that has one

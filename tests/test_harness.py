@@ -72,6 +72,17 @@ class TestRunCorpusVerify:
         assert summary.graphs_processed == 2
         assert summary.violations == 0
 
+    def test_budget_skipped_checks_counted(self, tmp_path):
+        # C(32, 5) exceeds the subset budget, C(32, 4) does not; K2 skips
+        # its r-subset checks for its order, which is no budget skip
+        corpus = tmp_path / "graphs.el"
+        corpus.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31))
+                          + "\nn 2\n0 1\n")
+        summary = run_corpus_verify(str(corpus), VerifyConfig(fmt="edgelist"))
+        assert (summary.graphs_processed, summary.skipped) == (2, 0)
+        assert summary.budget_skipped == 1
+        assert "r-subset:5" not in summary.equality_counts
+
     def test_jsonl_output_is_deterministic(self, n4_corpus, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_corpus_verify(n4_corpus, jsonl_path=str(out1))
@@ -93,6 +104,16 @@ class TestIterCorpus:
         corpus.write_text("Bw\n\nCs\n")
         summary = run_corpus_verify(str(corpus))
         assert (summary.graphs_processed, summary.skipped) == (2, 0)
+
+    @pytest.mark.parametrize("text", [
+        "# a comment\n\nn 2\n0 1\n",
+        "n 2\n0 1\n\n  # trailing\n# comments\n",
+    ])
+    def test_comment_only_edgelist_block_is_no_entry(self, tmp_path, text):
+        corpus = tmp_path / "c.el"
+        corpus.write_text(text)
+        entries = list(iter_corpus(str(corpus), "edgelist"))
+        assert [(token, item.n) for _, token, item in entries] == [("A_", 2)]
 
     def test_header_line_ignored(self, tmp_path):
         corpus = tmp_path / "hdr.g6"
