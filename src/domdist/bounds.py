@@ -10,16 +10,26 @@ The triple bound and the r-subset bound for r = 3 are the same quantity
 For r >= 4 the r-subset check is exhaustive while C(n, r) is at most
 DEFAULT_SUBSET_BUDGET; beyond that it is skipped with reason "budget" and
 holds=None, so every holds=True is proved over all r-subsets.
+
+One kernel, _max_pair_sum, finds the largest pair-distance sum over the
+r-subsets and the lexicographically first subset attaining it, for the
+triple bound and every r.  While C(n, 2)*C(n, r) <= PACKED_LIMIT it packs
+every subset's sum into one integer, from the pair distances
+DistanceMatrix.pair_dists and a cached table per (n, r); above the limit it
+scans the subsets in lexicographic order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import add
+from functools import lru_cache
+from itertools import combinations, starmap
+from operator import add, and_, mul
 from typing import Sequence
 
 from .distance import DistanceMatrix, all_pairs_distances
@@ -37,6 +47,10 @@ VIOLATION_SPADE = "boundary-ecc-spade"  # the boundary-ecc triple-distance diagn
 
 DEFAULT_RS = (3, 4, 5)
 DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
+# the r-subset sums are packed while C(n, 2)*C(n, r) fits, and scanned
+# above: the measured crossover of the two for r = 3, the first r to cross
+PACKED_LIMIT = 1 << 17
+_PACKED_TABLES = 16  # the packed tables kept; every (n, r) of DEFAULT_RS with n <= 8 fits
 
 
 _R_SUBSET = "r-subset:"
@@ -111,37 +125,91 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    With C the complement of X and D(v) the row sum of v,
-    S(X) = W - sum D(C) + S(C).  So when 3 <= n - r < r the scan runs over
-    the smaller sets C instead, maximising S(C) - sum D(C).  X is
-    lexicographically first exactly when C is last, so on that side a tie
-    keeps the later C.
+    While C(n, 2)*C(n, r) <= PACKED_LIMIT every subset's sum comes out of
+    one integer: field f of sum(d(p) * fields[p]) over the vertex pairs p
+    is S(X_f), for X_f the f-th r-subset in lexicographic order (see
+    _packed_fields), and the first field holding the maximum is the first
+    witness.  Above the limit the subsets are scanned in that order.
     """
     n = dm.n
-    k = n - r
-    if 3 <= k < r:
-        best, c = _scan_pair_sums(dm.d, k, [-t for t in dm.transmission], 1)
-        return dm.wiener + best, tuple(v for v in range(n) if v not in c)
-    return _scan_pair_sums(dm.d, r, [0] * n, 0)
+    if math.comb(n, 2) * math.comb(n, r) > PACKED_LIMIT:
+        return _scan_pair_sums(dm.d, r)
+    fields, size, code = _packed_fields(n, r)
+    sums = sum(map(mul, dm.pair_dists, fields)).to_bytes(size, "little")
+    if code != "B":  # one-byte fields are read from the bytes themselves
+        sums = array(code, sums)
+        if sys.byteorder == "big":
+            sums.byteswap()
+    best = max(sums)
+    return best, _lex_subset(n, r, sums.index(best))
 
 
-def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int, base: list[int],
-                    later_ties: int) -> tuple[int, tuple[int, ...]]:
-    """max over r-subsets X of S(X) + sum of base[v] for v in X (base <= 0),
-    with the first maximiser, or the last one when later_ties is 1.
+@lru_cache(maxsize=_PACKED_TABLES)
+def _packed_fields(n: int, r: int) -> tuple[tuple[int, ...], int, str]:
+    """The packed table of (n, r): one int per vertex pair, in the order of
+    DistanceMatrix.pair_dists, whose w-bit field f is 1 iff the pair lies in
+    the f-th r-subset in lexicographic order; with the byte length of the
+    C(n, r) fields and the array typecode of one field.
+
+    w is the narrowest array item above min(C(r, 2)*(n-1), (n^3-n)/6).
+    Each of the C(r, 2) distances of an r-subset is at most n-1, and its
+    sum is at most W(G) <= W(P_n) = (n^3-n)/6, the path having the largest
+    Wiener index of the connected graphs of order n; so no field of a
+    packed sum carries into the next.
+
+    Memory: the cache is filled lazily, so importing the package builds no
+    table, and it keeps the _PACKED_TABLES tables used last.  A table holds
+    C(n, 2) ints of C(n, r)*w bits, and PACKED_LIMIT caps C(n, 2)*C(n, r),
+    so n <= 512.  The largest tables are those of r = n near 512: a tuple
+    of up to 130,816 ones, 1,046,568 bytes by sys.getsizeof.  So a table
+    takes under 1.1e6 bytes, and the cache under _PACKED_TABLES * 1.1e6 =
+    17.6e6 bytes.
+    """
+    bound = min(math.comb(r, 2) * (n - 1), (n ** 3 - n) // 6)
+    code = next(c for c in "BHILQ" if bound >> 8 * array(c).itemsize == 0)
+    step = array(code).itemsize
+    size = math.comb(n, r) * step
+    # field f of members[v] is 1 iff v is in the f-th r-subset, so a pair's
+    # int is the AND of its two vertices' ints
+    members = [bytearray(size) for _ in range(n)]
+    for at, subset in enumerate(combinations(range(n), r)):
+        for v in subset:
+            members[v][at * step] = 1
+    ints = [int.from_bytes(m, "little") for m in members]
+    return tuple(starmap(and_, combinations(ints, 2))), size, code
+
+
+def _lex_subset(n: int, r: int, rank: int) -> tuple[int, ...]:
+    """The r-subset of range(n) at position rank in lexicographic order."""
+    subset = []
+    v = 0
+    while r:
+        # the subsets that take v next are the C(n-v-1, r-1) ones left
+        first = math.comb(n - v - 1, r - 1)
+        if rank < first:
+            subset.append(v)
+            r -= 1
+        else:
+            rank -= first
+        v += 1
+    return tuple(subset)
+
+
+def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int) -> tuple[int, tuple[int, ...]]:
+    """max over r-subsets X of S(X), with the first maximiser.
 
     Subsets are visited in lexicographic order: each (r-3)-prefix in turn,
-    with its partial sum and, per vertex, base plus the summed distance to
-    the prefix, so the last three slots are plain nested loops that add
-    O(1) per subset.  best is kept later_ties below the maximum found, so
-    one comparison serves both tie rules.
+    with its partial sum and, per vertex, the summed distance to the
+    prefix, so the last three slots are plain nested loops that add O(1)
+    per subset.
     """
     n = len(d)
-    best = sum(base) - 1  # below every subset's total
+    best = -1
     best_subset: tuple[int, ...] = ()
+    zeros = [0] * n
     for prefix in combinations(range(n - 3), r - 3):
         partial = 0
-        to_prefix = base
+        to_prefix = zeros
         for v in prefix:
             partial += to_prefix[v]
             to_prefix = list(map(add, to_prefix, d[v]))
@@ -154,9 +222,9 @@ def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int, base: list[int],
                 for k in range(j + 1, n):
                     total = sij + to_prefix[k] + di[k] + dj[k]
                     if total > best:
-                        best = total - later_ties
+                        best = total
                         best_subset = (*prefix, i, j, k)
-    return best + later_ties, best_subset
+    return best, best_subset
 
 
 def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:

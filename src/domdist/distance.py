@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .graphs import Graph
 
@@ -14,6 +15,8 @@ class DistanceMatrix:
 
     transmission[v] is D(v), the sum of row v; wiener is W(G), the sum of
     d(u, v) over unordered pairs, so half the sum of transmission;
+    pair_dists lists d(u, v) for u < v in row order: (0, 1), (0, 2), ...,
+    (0, n-1), (1, 2), ..., (n-2, n-1), the layout of the r-subset tables;
     diametral_pair is the lexicographically first pair u < v with
     d(u, v) = diam; boundary_info is the boundary and its set eccentricity.
     """
@@ -23,6 +26,7 @@ class DistanceMatrix:
     diam: int
     transmission: tuple[int, ...]
     wiener: int
+    pair_dists: tuple[int, ...]
     diametral_pair: tuple[int, int]
     boundary_info: BoundaryInfo
 
@@ -87,6 +91,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         diam=diam,
         transmission=transmission,
         wiener=sum(transmission) // 2,
+        pair_dists=tuple(chain.from_iterable(row[v + 1:] for v, row in enumerate(rows))),
         diametral_pair=(u, rows[u].index(diam)),
         boundary_info=BoundaryInfo(boundary, r_ecc, to_boundary.index(r_ecc)),
     )

@@ -1,7 +1,15 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,9 +233,7 @@ class TestPairSumIdentities:
 
 
 class TestMaxPairSumKernel:
-    """Value and first witness of _max_pair_sum against plain enumeration,
-    on both sides of the kernel: the r-subsets, or their complements when
-    3 <= n - r < r."""
+    """Value and first witness of _max_pair_sum against plain enumeration."""
 
     @given(connected_graphs(3, 12))
     @settings(max_examples=40, deadline=None)
@@ -246,6 +252,84 @@ class TestMaxPairSumKernel:
         # on K8, many 5-sets tie on C8 and the leaf sets tie on K_{1,7}
         dm = _dm(g)
         assert _max_pair_sum(dm, 5) == _first_max_pair_sum(dm, 5) == expected
+
+
+def _packed(n, r):
+    return math.comb(n, 2) * math.comb(n, r) <= bounds.PACKED_LIMIT
+
+
+class TestPackedAndScannedSides:
+    """_max_pair_sum packs the sums while C(n, 2)*C(n, r) <= PACKED_LIMIT and
+    scans above; both sides against plain enumeration, value and first
+    witness."""
+
+    def test_packed_side_every_r_on_every_small_graph(self, corpus):
+        for n in range(3, 8):
+            for g in corpus(n):
+                dm = _dm(g)
+                for r in range(3, n + 1):
+                    assert _packed(n, r)
+                    assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (g, r)
+
+    @pytest.mark.parametrize("r", [4, 5, 17])
+    @pytest.mark.parametrize("g", [complete_graph(20), cycle_graph(20), star_graph(19)],
+                             ids=["K20", "C20", "K1_19"])
+    def test_scan_side(self, g, r):
+        assert not _packed(g.n, r)
+        dm = _dm(g)
+        assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r)
+
+    @pytest.mark.parametrize("n, r, width", [(64, 63, 16), (512, 512, 32)])
+    def test_widest_fields_on_paths(self, n, r, width):
+        # the largest packed orders for r = n - 1 and r = n; a path's sums
+        # are the largest of its order, and here they need the wide fields
+        assert _packed(n, r) and not _packed(n + 1, r + 1)
+        assert 8 * array(bounds._packed_fields(n, r)[2]).itemsize == width
+        dm = _dm(path_graph(n))
+        value, witness = _max_pair_sum(dm, r)
+        assert value >> width // 2
+        assert (value, witness) == _first_max_pair_sum(dm, r)
+
+
+class TestPackedTableCache:
+    def test_empty_after_import(self):
+        src = str(Path(bounds.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import domdist\n"
+                "print(domdist.bounds._packed_fields.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    def test_bounded(self):
+        """Under _packed_fields' bounds: 1.1e6 bytes a table, and 17.6e6 for
+        the cache once every table of r < n is built, and then the largest
+        ones, those of r = n up to 512, four more than the cache keeps."""
+        # r < n packs only up to n = 64, as C(n, r) >= n there; r = n up to 512
+        assert _packed(64, 63) and not _packed(65, 64)
+        assert _packed(512, 512) and not _packed(513, 513)
+        bounds._packed_fields.cache_clear()
+        for n in range(3, 65):
+            for r in filter(partial(_packed, n), range(3, n)):
+                assert _table_bytes(bounds._packed_fields(n, r)[0]) < 1.1e6, (n, r)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for n in range(509 - bounds._PACKED_TABLES, 513):
+                assert _table_bytes(bounds._packed_fields(n, n)[0]) < 1.1e6, n
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            bounds._packed_fields.cache_clear()
+        assert held < 17.6e6
+
+
+def _table_bytes(fields):
+    # the tuple and each distinct int it holds; CPython shares ints up to 256
+    distinct = {id(x): x for x in fields if x > 256}
+    return sys.getsizeof(fields) + sum(map(sys.getsizeof, distinct.values()))
 
 
 class TestIntegerChecks:
