@@ -13,9 +13,9 @@ holds=None, so every holds=True is proved over all r-subsets.
 
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
 r-subsets and the lexicographically first subset attaining it, for the
-triple bound and every r.  While C(n, 2)*C(n, r) <= PACKED_LIMIT it packs
-every subset's sum into one integer, from the pair distances
-DistanceMatrix.pair_dists and a cached table per (n, r); above the limit it
+triple bound and every r.  Where _packs(n, r) holds it packs every
+subset's sum into one byte of one integer, from the pair distances
+DistanceMatrix.pair_dists and a cached table per (n, r); elsewhere it
 scans the subsets in lexicographic order.
 """
 
@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, starmap
 from operator import add, and_, mul
 from typing import Sequence
@@ -47,10 +45,9 @@ VIOLATION_SPADE = "boundary-ecc-spade"  # the boundary-ecc triple-distance diagn
 
 DEFAULT_RS = (3, 4, 5)
 DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
-# the r-subset sums are packed while C(n, 2)*C(n, r) fits, and scanned
-# above: the measured crossover of the two for r = 3, the first r to cross
+# the r-subset sums are packed only while C(n, 2)*C(n, r) fits: the measured
+# crossover of the packed sums and the scan for r = 3, the first r to cross
 PACKED_LIMIT = 1 << 17
-_PACKED_TABLES = 16  # the packed tables kept; every (n, r) of DEFAULT_RS with n <= 8 fits
 
 
 _R_SUBSET = "r-subset:"
@@ -121,62 +118,56 @@ def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     )
 
 
+def _packs(n: int, r: int) -> bool:
+    """Whether _max_pair_sum packs the r-subset sums of order n: iff
+    C(n, 2)*C(n, r) <= PACKED_LIMIT and every sum fits one byte.
+
+    An r-subset's sum is at most C(r, 2)*(n-1), each distance being at most
+    n-1, and at most W(P_n) = (n^3-n)/6, the largest Wiener index of a
+    connected graph of order n; the latter is at most 255 iff n <= 11.
+    59 pairs (n, r) pack, all with n <= 18.
+    """
+    return (math.comb(n, 2) * math.comb(n, r) <= PACKED_LIMIT
+            and ((n ** 3 - n) // 6 <= 255 or math.comb(r, 2) * (n - 1) <= 255))
+
+
 def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    While C(n, 2)*C(n, r) <= PACKED_LIMIT every subset's sum comes out of
-    one integer: field f of sum(d(p) * fields[p]) over the vertex pairs p
-    is S(X_f), for X_f the f-th r-subset in lexicographic order (see
-    _packed_fields), and the first field holding the maximum is the first
-    witness.  Above the limit the subsets are scanned in that order.
+    Where _packs(n, r) every subset's sum comes out of one integer: byte f
+    of sum(d(p) * fields[p]) over the vertex pairs p is S(X_f), for X_f the
+    f-th r-subset in lexicographic order (see _packed_fields), and the
+    first byte holding the maximum is the first witness.  Elsewhere the
+    subsets are scanned in that order.
     """
     n = dm.n
-    if math.comb(n, 2) * math.comb(n, r) > PACKED_LIMIT:
+    if not _packs(n, r):
         return _scan_pair_sums(dm.d, r)
-    fields, size, code = _packed_fields(n, r)
-    sums = sum(map(mul, dm.pair_dists, fields)).to_bytes(size, "little")
-    if code != "B":  # one-byte fields are read from the bytes themselves
-        sums = array(code, sums)
-        if sys.byteorder == "big":
-            sums.byteswap()
+    packed = sum(map(mul, dm.pair_dists, _packed_fields(n, r)))
+    sums = packed.to_bytes(math.comb(n, r), "little")
     best = max(sums)
     return best, _lex_subset(n, r, sums.index(best))
 
 
-@lru_cache(maxsize=_PACKED_TABLES)
-def _packed_fields(n: int, r: int) -> tuple[tuple[int, ...], int, str]:
-    """The packed table of (n, r): one int per vertex pair, in the order of
-    DistanceMatrix.pair_dists, whose w-bit field f is 1 iff the pair lies in
-    the f-th r-subset in lexicographic order; with the byte length of the
-    C(n, r) fields and the array typecode of one field.
-
-    w is the narrowest array item above min(C(r, 2)*(n-1), (n^3-n)/6).
-    Each of the C(r, 2) distances of an r-subset is at most n-1, and its
-    sum is at most W(G) <= W(P_n) = (n^3-n)/6, the path having the largest
-    Wiener index of the connected graphs of order n; so no field of a
-    packed sum carries into the next.
+@cache
+def _packed_fields(n: int, r: int) -> tuple[int, ...]:
+    """The packed table of (n, r), for _packs(n, r): one int per vertex
+    pair, in the order of DistanceMatrix.pair_dists, whose byte f is 1 iff
+    the pair lies in the f-th r-subset in lexicographic order.
 
     Memory: the cache is filled lazily, so importing the package builds no
-    table, and it keeps the _PACKED_TABLES tables used last.  A table holds
-    C(n, 2) ints of C(n, r)*w bits, and PACKED_LIMIT caps C(n, 2)*C(n, r),
-    so n <= 512.  The largest tables are those of r = n near 512: a tuple
-    of up to 130,816 ones, 1,046,568 bytes by sys.getsizeof.  So a table
-    takes under 1.1e6 bytes, and the cache under _PACKED_TABLES * 1.1e6 =
-    17.6e6 bytes.
+    table, and it keeps every table built: all 59 that _packs admits take
+    under 1e6 bytes together.
     """
-    bound = min(math.comb(r, 2) * (n - 1), (n ** 3 - n) // 6)
-    code = next(c for c in "BHILQ" if bound >> 8 * array(c).itemsize == 0)
-    step = array(code).itemsize
-    size = math.comb(n, r) * step
-    # field f of members[v] is 1 iff v is in the f-th r-subset, so a pair's
+    # byte f of members[v] is 1 iff v is in the f-th r-subset, so a pair's
     # int is the AND of its two vertices' ints
-    members = [bytearray(size) for _ in range(n)]
+    members = [bytearray(math.comb(n, r)) for _ in range(n)]
     for at, subset in enumerate(combinations(range(n), r)):
         for v in subset:
-            members[v][at * step] = 1
+            members[v][at] = 1
     ints = [int.from_bytes(m, "little") for m in members]
-    return tuple(starmap(and_, combinations(ints, 2))), size, code
+    return tuple(starmap(and_, combinations(ints, 2)))
 
 
 def _lex_subset(n: int, r: int, rank: int) -> tuple[int, ...]:
@@ -459,7 +450,13 @@ def assemble_report(
     rs: Sequence[int] = DEFAULT_RS,
     graph_id: str | None = None,
 ) -> BoundReport:
-    """Solve gamma and run every configured check; any failure marks it fatal."""
+    """Solve gamma and run every configured check; any failure marks it fatal.
+
+    The graph id is encoded first, so a graph that graph6 cannot name
+    raises InvalidGraph6 before any search.
+    """
+    if graph_id is None:
+        graph_id = encode_graph6(g)
     dm = all_pairs_distances(g)
     result = gamma_exact(g)
     gamma = result.gamma
@@ -489,7 +486,7 @@ def assemble_report(
         violations.append(VIOLATION_SPADE)
 
     return BoundReport(
-        graph6=graph_id if graph_id is not None else encode_graph6(g),
+        graph6=graph_id,
         n=g.n,
         gamma=gamma,
         gamma_witness=result.witness,

@@ -13,18 +13,16 @@ from .graphs import Graph
 class DistanceMatrix:
     """All-pairs hop counts and every distance invariant the bounds read.
 
-    transmission[v] is D(v), the sum of row v; wiener is W(G), the sum of
-    d(u, v) over unordered pairs, so half the sum of transmission;
     pair_dists lists d(u, v) for u < v in row order: (0, 1), (0, 2), ...,
     (0, n-1), (1, 2), ..., (n-2, n-1), the layout of the r-subset tables;
-    diametral_pair is the lexicographically first pair u < v with
-    d(u, v) = diam; boundary_info is the boundary and its set eccentricity.
+    wiener is W(G), the sum of d(u, v) over unordered pairs, so the sum of
+    pair_dists; diametral_pair is the lexicographically first pair u < v
+    with d(u, v) = diam; boundary_info is the boundary and its set
+    eccentricity.  The eccentricity of v is max(d[v]).
     """
 
     d: tuple[tuple[int, ...], ...]
-    ecc: tuple[int, ...]
     diam: int
-    transmission: tuple[int, ...]
     wiener: int
     pair_dists: tuple[int, ...]
     diametral_pair: tuple[int, int]
@@ -72,6 +70,7 @@ def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every source, then every invariant from the rows.
 
+    The eccentricities give diam and the boundary and are not kept.
     Connectivity is guaranteed by Graph.
     """
     rows = tuple(_bfs_row(g, v) for v in range(g.n))
@@ -84,14 +83,12 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     # column v of the boundary rows holds d(b, v) for every b in B
     to_boundary = list(map(min, zip(*(rows[b] for b in boundary))))
     r_ecc = max(to_boundary)
-    transmission = tuple(map(sum, rows))
+    pair_dists = tuple(chain.from_iterable(row[v + 1:] for v, row in enumerate(rows)))
     return DistanceMatrix(
         d=rows,
-        ecc=ecc,
         diam=diam,
-        transmission=transmission,
-        wiener=sum(transmission) // 2,
-        pair_dists=tuple(chain.from_iterable(row[v + 1:] for v, row in enumerate(rows))),
+        wiener=sum(pair_dists),
+        pair_dists=pair_dists,
         diametral_pair=(u, rows[u].index(diam)),
         boundary_info=BoundaryInfo(boundary, r_ecc, to_boundary.index(r_ecc)),
     )

@@ -211,11 +211,6 @@ def scan_tight_instances(
     return tight, skipped, budget_skipped
 
 
-def find_tight_instances(path: str, bound: str, fmt: str = FORMAT_GRAPH6) -> list[str]:
-    """All corpus graphs whose report shows equality for the named bound."""
-    return scan_tight_instances(path, bound, fmt)[0]
-
-
 # Counterexample to the claim that a diametral path contains at most
 # gamma(G)-1 edges joining the closed neighborhoods of a gamma-set.
 # Vertices 0..3 form the path; 4 and 5 are the two dominators.

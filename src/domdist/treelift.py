@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .domination import ENUMERATION_CAP, gamma_bruteforce_oracle, gamma_exact, is_dominating_set
-from .errors import Disconnected, NotAGammaSet
+from .errors import Disconnected, NotAGammaSet, VertexOutOfRange
 from .graphs import Graph
 
 
@@ -102,8 +102,9 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     mismatch.  Up to ENUMERATION_CAP vertices the solver is the brute-force
     oracle, which shares no search code with the lift's gamma_exact and never
     reads the gamma kept on g; above the cap it is gamma_exact itself.  Tree
-    edges and M are range-checked before any mask is read, so malformed input
-    gives NotSubgraph or MNotDominating instead of an exception.
+    edges and M are range-checked before any mask is read, and a vertex that
+    is no int cannot index a mask, so malformed input gives NotSubgraph or
+    MNotDominating instead of an exception.
     """
     mset = frozenset(m)
     n = g.n
@@ -111,9 +112,9 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     for edge in lift.tree_edges:
         try:
             u, v = edge
-        except (TypeError, ValueError):
-            return LiftCheck(False, "NotSubgraph")
-        if not g.has_edge(u, v):
+            if not g.has_edge(u, v):
+                return LiftCheck(False, "NotSubgraph")
+        except (TypeError, ValueError):  # not a pair, or a vertex that is no int
             return LiftCheck(False, "NotSubgraph")
         tree_masks[u] |= 1 << v
         tree_masks[v] |= 1 << u
@@ -125,7 +126,10 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
         tree = Graph(n, tuple(tree_masks))
     except Disconnected:
         return LiftCheck(False, "NotSpanningTree")
-    if not all(0 <= v < n for v in mset) or not is_dominating_set(tree, mset):
+    try:
+        if not is_dominating_set(tree, mset):
+            return LiftCheck(False, "MNotDominating")
+    except (TypeError, VertexOutOfRange):  # a vertex that is no int of 0..n-1
         return LiftCheck(False, "MNotDominating")
 
     try:  # each vertex outside M once, in order, with a tree neighbor in M

@@ -5,9 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -20,6 +18,7 @@ from domdist.bounds import (
     DEFAULT_SUBSET_BUDGET,
     TripleEquality,
     _max_pair_sum,
+    _packs,
     assemble_report,
     average_distance_lb,
     best_triple_lb,
@@ -217,10 +216,9 @@ class TestPairSumIdentities:
         g, x = drawn
         dm = _dm(g)
         c = tuple(v for v in range(g.n) if v not in x)
-        assert dm.transmission == tuple(map(sum, dm.d))
-        assert dm.wiener * 2 == sum(dm.transmission)
+        assert dm.wiener * 2 == sum(map(sum, dm.d))
         assert _pair_sum(dm, x) == (
-            dm.wiener - sum(dm.transmission[v] for v in c) + _pair_sum(dm, c))
+            dm.wiener - sum(sum(dm.d[v]) for v in c) + _pair_sum(dm, c))
 
     @given(_graph_and_subset())
     @settings(max_examples=150, deadline=None)
@@ -254,13 +252,9 @@ class TestMaxPairSumKernel:
         assert _max_pair_sum(dm, 5) == _first_max_pair_sum(dm, 5) == expected
 
 
-def _packed(n, r):
-    return math.comb(n, 2) * math.comb(n, r) <= bounds.PACKED_LIMIT
-
-
 class TestPackedAndScannedSides:
-    """_max_pair_sum packs the sums while C(n, 2)*C(n, r) <= PACKED_LIMIT and
-    scans above; both sides against plain enumeration, value and first
+    """_max_pair_sum packs the sums where _packs(n, r) holds and scans
+    elsewhere; both sides against plain enumeration, value and first
     witness."""
 
     def test_packed_side_every_r_on_every_small_graph(self, corpus):
@@ -268,27 +262,33 @@ class TestPackedAndScannedSides:
             for g in corpus(n):
                 dm = _dm(g)
                 for r in range(3, n + 1):
-                    assert _packed(n, r)
+                    assert _packs(n, r)
                     assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (g, r)
 
     @pytest.mark.parametrize("r", [4, 5, 17])
     @pytest.mark.parametrize("g", [complete_graph(20), cycle_graph(20), star_graph(19)],
                              ids=["K20", "C20", "K1_19"])
     def test_scan_side(self, g, r):
-        assert not _packed(g.n, r)
+        assert not _packs(g.n, r)
         dm = _dm(g)
         assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r)
 
-    @pytest.mark.parametrize("n, r, width", [(64, 63, 16), (512, 512, 32)])
-    def test_widest_fields_on_paths(self, n, r, width):
-        # the largest packed orders for r = n - 1 and r = n; a path's sums
-        # are the largest of its order, and here they need the wide fields
-        assert _packed(n, r) and not _packed(n + 1, r + 1)
-        assert 8 * array(bounds._packed_fields(n, r)[2]).itemsize == width
+    @pytest.mark.parametrize("n, r, value, packed", [
+        (11, 11, 220, True),
+        (12, 8, 148, False),
+        (64, 63, 42656, False),
+        (512, 512, 22369536, False),
+    ], ids=["11-11", "12-8", "64-63", "512-512"])
+    def test_widest_fields_on_paths(self, n, r, value, packed):
+        # a path's sums are the largest of its order, and its Wiener index
+        # (n^3-n)/6 fits a byte up to n = 11; from n = 12 the proven bound
+        # does not, so these are scanned although PACKED_LIMIT admits them
+        assert math.comb(n, 2) * math.comb(n, r) <= bounds.PACKED_LIMIT
+        assert _packs(n, r) is packed
         dm = _dm(path_graph(n))
-        value, witness = _max_pair_sum(dm, r)
-        assert value >> width // 2
-        assert (value, witness) == _first_max_pair_sum(dm, r)
+        found = _max_pair_sum(dm, r)
+        assert found[0] == value
+        assert found == _first_max_pair_sum(dm, r)
 
 
 class TestPackedTableCache:
@@ -304,32 +304,24 @@ class TestPackedTableCache:
         assert done.stdout.strip() == "0"
 
     def test_bounded(self):
-        """Under _packed_fields' bounds: 1.1e6 bytes a table, and 17.6e6 for
-        the cache once every table of r < n is built, and then the largest
-        ones, those of r = n up to 512, four more than the cache keeps."""
-        # r < n packs only up to n = 64, as C(n, r) >= n there; r = n up to 512
-        assert _packed(64, 63) and not _packed(65, 64)
-        assert _packed(512, 512) and not _packed(513, 513)
+        """Under _packed_fields' bound: all 59 tables that _packs admits,
+        every one with n <= 18, take under 1e6 bytes together."""
+        # r < n packs only up to n = 64, as C(n, r) >= n there, and r = n
+        # only up to n = 11, where a sum of W(P_n) = (n^3-n)/6 fits a byte
+        assert not _packs(65, 64) and not _packs(12, 12)
+        pairs = [(n, r) for n in range(3, 65) for r in range(3, n + 1) if _packs(n, r)]
+        assert len(pairs) == 59 and max(n for n, _ in pairs) == 18
         bounds._packed_fields.cache_clear()
-        for n in range(3, 65):
-            for r in filter(partial(_packed, n), range(3, n)):
-                assert _table_bytes(bounds._packed_fields(n, r)[0]) < 1.1e6, (n, r)
         gc.collect()
         tracemalloc.start()
         try:
-            for n in range(509 - bounds._PACKED_TABLES, 513):
-                assert _table_bytes(bounds._packed_fields(n, n)[0]) < 1.1e6, n
+            for n, r in pairs:
+                bounds._packed_fields(n, r)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
             bounds._packed_fields.cache_clear()
-        assert held < 17.6e6
-
-
-def _table_bytes(fields):
-    # the tuple and each distinct int it holds; CPython shares ints up to 256
-    distinct = {id(x): x for x in fields if x > 256}
-    return sys.getsizeof(fields) + sum(map(sys.getsizeof, distinct.values()))
+        assert held < 1e6
 
 
 class TestIntegerChecks:

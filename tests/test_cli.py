@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,17 @@ class TestAnalyze:
         out = capsys.readouterr().out
         row = next(line for line in out.splitlines() if "r-subset:1000000" in line)
         assert row.split() == ["r-subset:1000000", "skipped", "(r=1000000", "exceeds", "n=4)"]
+
+    def test_order_graph6_cannot_name_exits_2_before_gamma(self, tmp_path, monkeypatch, capsys):
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("gamma solved")
+
+        monkeypatch.setattr(bounds, "gamma_exact", no_gamma)
+        rng = random.Random(5)
+        path = tmp_path / "tree70.el"
+        path.write_text("n 70\n" + "".join(f"{v} {rng.randrange(v)}\n" for v in range(1, 70)))
+        assert main(["analyze", str(path), "--format", "edgelist"]) == 2
+        assert "short-form graph6 supports n <= 62" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "lift"])
     @pytest.mark.parametrize("fmt, data", [

@@ -53,14 +53,13 @@ class TestAllPairsDistances:
         dm = all_pairs_distances(g)
         for v in range(g.n):
             assert dm.d[v][v] == 0
-            assert dm.ecc[v] == max(dm.d[v])
         for u in range(g.n):
             for v in range(g.n):
                 assert dm.d[u][v] == dm.d[v][u]
                 assert (dm.d[u][v] == 1) == g.has_edge(u, v)
                 for w in range(g.n):
                     assert dm.d[u][w] <= dm.d[u][v] + dm.d[v][w]
-        assert dm.diam == max(dm.ecc)
+        assert dm.diam == max(map(max, dm.d))
         assert dm.diam >= 1
 
     @given(connected_graphs(max_n=6))
@@ -147,8 +146,8 @@ class TestBoundary:
         dm = all_pairs_distances(g)
         bi = boundary_and_set_ecc(g, dm)
         assert bi.boundary
-        assert all(dm.ecc[v] == dm.diam for v in bi.boundary)
-        assert all(dm.ecc[v] < dm.diam for v in set(range(g.n)) - set(bi.boundary))
+        assert all(max(dm.d[v]) == dm.diam for v in bi.boundary)
+        assert all(max(dm.d[v]) < dm.diam for v in set(range(g.n)) - set(bi.boundary))
         dist_to_b = [min(dm.d[v][b] for b in bi.boundary) for v in range(g.n)]
         assert bi.ecc_of_boundary == max(dist_to_b)
         assert dist_to_b[bi.witness] == bi.ecc_of_boundary

@@ -10,9 +10,9 @@ from domdist.harness import (
     VerifyConfig,
     canonical_bound_name,
     counterexample_demo,
-    find_tight_instances,
     iter_corpus,
     run_corpus_verify,
+    scan_tight_instances,
 )
 
 from graphutil import star_graph, to_networkx
@@ -38,7 +38,7 @@ class TestRunCorpusVerify:
         summary = run_corpus_verify(str(corpus))
         assert summary.graphs_processed == 1
         # K3: diam 1, gamma 1, ceil(2/3) = 1, so the diameter bound is tight
-        assert find_tight_instances(str(corpus), "diameter") == ["Bw"]
+        assert scan_tight_instances(str(corpus), "diameter")[0] == ["Bw"]
         assert summary.equality_counts["diameter"] == 1
 
     def test_malformed_line_skipped_when_not_strict(self, tmp_path):
@@ -149,28 +149,28 @@ class TestFindTightInstances:
         )
 
     def test_triple_tight_includes_star(self, n4_corpus):
-        tight = find_tight_instances(n4_corpus, "triple")
+        tight = scan_tight_instances(n4_corpus, "triple")[0]
         assert self._contains_star(tight)
 
     def test_boundary_ecc_tight_includes_star(self, n4_corpus):
-        tight = find_tight_instances(n4_corpus, "boundary-ecc")
+        tight = scan_tight_instances(n4_corpus, "boundary-ecc")[0]
         assert self._contains_star(tight)
 
     def test_average_distance_on_k2_is_strict(self, tmp_path):
         corpus = tmp_path / "k2.g6"
         corpus.write_text("A_\n")
-        assert find_tight_instances(str(corpus), "average-distance") == []
+        assert scan_tight_instances(str(corpus), "average-distance")[0] == []
 
     def test_r_outside_config_is_added(self, tmp_path):
         g = star_graph(6)
         corpus = tmp_path / "star6.g6"
         corpus.write_text(encode_graph6(g) + "\n")
-        tight = find_tight_instances(str(corpus), "r-subset:6")
+        tight = scan_tight_instances(str(corpus), "r-subset:6")[0]
         assert tight == [encode_graph6(g)]
 
     def test_unknown_bound(self, n4_corpus):
         with pytest.raises(UnknownBound):
-            find_tight_instances(n4_corpus, "nope")
+            scan_tight_instances(n4_corpus, "nope")
 
 
 class TestCounterexample:

@@ -161,7 +161,7 @@ class TestVerifyLift:
         assert not check
         assert check.reason == "NotSpanningTree"
 
-    @pytest.mark.parametrize("bad_edge", [(3, 7), (7, 3), (-1, 0), (0, 1, 2)])
+    @pytest.mark.parametrize("bad_edge", [(3, 7), (7, 3), (-1, 0), (0, 1, 2), (0.0, 1)])
     def test_vertex_outside_graph_is_not_a_subgraph(self, bad_edge):
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
@@ -170,7 +170,7 @@ class TestVerifyLift:
         assert not check
         assert check.reason == "NotSubgraph"
 
-    @pytest.mark.parametrize("m", [(0, 9), (0, -1)])
+    @pytest.mark.parametrize("m", [(0, 9), (0, -1), (1, 2.0), (1, "a")])
     def test_set_outside_graph_is_not_dominating(self, m):
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
