@@ -4,6 +4,8 @@ Every check is an integer comparison in cross-multiplied form (6*gamma >= S3,
 not gamma >= S3/6): a check keeps the bound as num/den and the margin
 den*gamma - num, and its Fraction value and slack are read from those on
 demand.  Equality detection therefore never depends on floating point.
+_check alone computes the margin, and copies it into the check's detail
+(the diameter bound keeps its own, 3*gamma - (diam + 1)).
 
 The triple bound and the r-subset bound for r = 3 are the same quantity
 (6 = 3*2), so report assembly scans the triples once and reports both.
@@ -12,11 +14,14 @@ DEFAULT_SUBSET_BUDGET; beyond that it is skipped with reason "budget" and
 holds=None, so every holds=True is proved over all r-subsets.
 
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
-r-subsets and the lexicographically first subset attaining it, for the
-triple bound and every r.  Where _packs(n, r) holds it packs every
-subset's sum into one byte of one integer, from the pair distances
-DistanceMatrix.pair_dists and a cached table per (n, r); elsewhere it
-scans the subsets in lexicographic order.
+r-subsets and the first subset attaining it in itertools.combinations
+order, for the triple bound and every r.  Where _packs(n, r) holds it
+packs every subset's sum into one byte of one integer, from the pair
+distances DistanceMatrix.pair_dists and a cached table per (n, r), laid
+out in that order; elsewhere it scans the subsets in that order.
+
+BoundReport.jsonl_line is the one serializer: it writes each report as
+one line of sorted-key compact JSON.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, starmap
+from itertools import combinations, islice, starmap
 from operator import add, and_, mul
 from typing import Sequence
 
@@ -106,7 +111,11 @@ def _skipped(name: str, reason: str) -> BoundCheck:
 
 def _check(name: str, gamma: int, num: int, den: int,
            witness: tuple[int, ...], detail: dict) -> BoundCheck:
-    return BoundCheck(name, num, den, den * gamma - num, witness, detail)
+    """The one place a margin is computed; detail gets it as its last key
+    unless it keeps a margin of its own."""
+    margin = den * gamma - num
+    detail.setdefault("margin", margin)
+    return BoundCheck(name, num, den, margin, witness, detail)
 
 
 def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
@@ -137,9 +146,9 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
 
     Where _packs(n, r) every subset's sum comes out of one integer: byte f
     of sum(d(p) * fields[p]) over the vertex pairs p is S(X_f), for X_f the
-    f-th r-subset in lexicographic order (see _packed_fields), and the
-    first byte holding the maximum is the first witness.  Elsewhere the
-    subsets are scanned in that order.
+    f-th subset of combinations(range(n), r) (see _packed_fields), and the
+    witness is the subset at the first byte holding the maximum.  Elsewhere
+    the subsets are scanned in that order.
     """
     n = dm.n
     if not _packs(n, r):
@@ -147,7 +156,7 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     packed = sum(map(mul, dm.pair_dists, _packed_fields(n, r)))
     sums = packed.to_bytes(math.comb(n, r), "little")
     best = max(sums)
-    return best, _lex_subset(n, r, sums.index(best))
+    return best, next(islice(combinations(range(n), r), sums.index(best), None))
 
 
 @cache
@@ -168,22 +177,6 @@ def _packed_fields(n: int, r: int) -> tuple[int, ...]:
             members[v][at] = 1
     ints = [int.from_bytes(m, "little") for m in members]
     return tuple(starmap(and_, combinations(ints, 2)))
-
-
-def _lex_subset(n: int, r: int, rank: int) -> tuple[int, ...]:
-    """The r-subset of range(n) at position rank in lexicographic order."""
-    subset = []
-    v = 0
-    while r:
-        # the subsets that take v next are the C(n-v-1, r-1) ones left
-        first = math.comb(n - v - 1, r - 1)
-        if rank < first:
-            subset.append(v)
-            r -= 1
-        else:
-            rank -= first
-        v += 1
-    return tuple(subset)
 
 
 def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int) -> tuple[int, tuple[int, ...]]:
@@ -223,10 +216,7 @@ def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     if dm.n < 3:
         return _skipped(BOUND_TRIPLE, "requires n >= 3")
     s3, triple = _max_pair_sum(dm, 3)
-    return _check(
-        BOUND_TRIPLE, gamma, s3, 6, triple,
-        {"pair_sum": s3, "margin": 6 * gamma - s3},
-    )
+    return _check(BOUND_TRIPLE, gamma, s3, 6, triple, {"pair_sum": s3})
 
 
 def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEquality, ...]:
@@ -276,19 +266,14 @@ def r_subset_lb(gamma: int, dm: DistanceMatrix, r: int) -> BoundCheck:
 def _r_subset_check(gamma: int, r: int, s_r: int, subset: tuple[int, ...]) -> BoundCheck:
     return _check(
         r_subset_bound_name(r), gamma, s_r, r * (r - 1), subset,
-        {"r": r, "pair_sum": s_r, "method": "exhaustive",
-         "margin": r * (r - 1) * gamma - s_r},
+        {"r": r, "pair_sum": s_r, "method": "exhaustive"},
     )
 
 
 def average_distance_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """n(n-1)*gamma >= W(G); the bound value is the average distance."""
     w = dm.wiener
-    den = dm.n * (dm.n - 1)
-    return _check(
-        BOUND_AVERAGE_DISTANCE, gamma, w, den, (),
-        {"wiener": w, "margin": den * gamma - w},
-    )
+    return _check(BOUND_AVERAGE_DISTANCE, gamma, w, dm.n * (dm.n - 1), (), {"wiener": w})
 
 
 def boundary_ecc_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
@@ -313,10 +298,7 @@ def boundary_ecc_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
         }
     else:
         detail["spade"] = None
-    return _check(
-        BOUND_BOUNDARY_ECC, gamma, r_ecc + 1, 2, (bi.witness,),
-        detail | {"margin": 2 * gamma - (r_ecc + 1)},
-    )
+    return _check(BOUND_BOUNDARY_ECC, gamma, r_ecc + 1, 2, (bi.witness,), detail)
 
 
 @dataclass(frozen=True)
@@ -342,29 +324,14 @@ class BoundReport:
                 return c
         raise KeyError(name)
 
-    def to_json_dict(self) -> dict:
-        """The report as JSON-ready values; jsonl_line writes the same record."""
-        return {
-            "graph": self.graph6,
-            "n": self.n,
-            "gamma": self.gamma,
-            "gamma_witness": list(self.gamma_witness),
-            "bounds": [_check_json(c) for c in self.checks],
-            "triple_equalities": [
-                {"triple": list(t.triple), "dists": list(t.dists), "mod3_ok": t.mod3_ok}
-                for t in self.triple_equalities
-            ],
-            "fatal": self.fatal,
-        }
-
     def jsonl_line(self) -> str:
         """The report as one line of compact JSON with sorted keys.
 
-        Written directly in the key order of
-        json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
-        which the tests hold it to.  The graph id and the skip reasons go
-        through json.dumps, so their escaping is the same; every other
-        string is one of this module's ASCII constants.
+        Written directly in the key order and spacing of
+        json.dumps(..., sort_keys=True, separators=(",", ":")), which the
+        tests hold it to.  The graph id and the skip reasons go through
+        json.dumps, so their escaping is the same; every other string is one
+        of this module's ASCII constants.
         """
         bounds = ",".join(map(_check_jsonl, self.checks))
         triples = ",".join(
@@ -426,25 +393,6 @@ def _check_jsonl(c: BoundCheck) -> str:
     )
 
 
-def _frac_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
-def _check_json(c: BoundCheck) -> dict:
-    if c.skipped:
-        return {"bound": c.name, "skipped": True, "reason": c.skipped_reason}
-    return {
-        "bound": c.name,
-        "skipped": False,
-        "value": _frac_json(c.value),
-        "holds": c.holds,
-        "equality": c.equality,
-        "slack": _frac_json(c.slack),
-        "witness": list(c.witness),
-        "detail": c.detail,
-    }
-
-
 def assemble_report(
     g: Graph,
     rs: Sequence[int] = DEFAULT_RS,
@@ -470,7 +418,7 @@ def assemble_report(
             checks.append(_skipped(r_subset_bound_name(r), f"r={r} exceeds n={g.n}"))
         elif r == 3:
             # the r = 3 scan is the triple scan just made, at every order
-            checks.append(_r_subset_check(gamma, 3, triple.detail["pair_sum"], triple.witness))
+            checks.append(_r_subset_check(gamma, 3, triple.num, triple.witness))
         else:
             checks.append(r_subset_lb(gamma, dm, r))
     checks.append(average_distance_lb(gamma, dm))

@@ -97,8 +97,8 @@ class Graph:
             raise OrderTooSmall(f"graph order {n} < 2")
         edges = list(edges)
         for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+            if not (type(u) is int and 0 <= u < n and type(v) is int and 0 <= v < n):
+                raise VertexOutOfRange(f"edge ({u!r}, {v!r}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
         if len(edges) < n - 1:
@@ -124,9 +124,10 @@ class Graph:
         return self.closed_masks[v].bit_count() - 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        """False for u == v and for a vertex outside 0..n-1."""
+        """False for u == v and for a vertex that is no int of 0..n-1."""
         n = self.n
-        return 0 <= u < n and 0 <= v < n and u != v and self.closed_masks[u] >> v & 1 == 1
+        return (type(u) is int and 0 <= u < n and type(v) is int and 0 <= v < n
+                and u != v and self.closed_masks[u] >> v & 1 == 1)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -143,9 +144,10 @@ class Graph:
         return (sum(m.bit_count() for m in self.closed_masks) - self.n) // 2
 
     def check_vertices(self, vertices: Iterable[int]) -> None:
+        """Raise VertexOutOfRange for any vertex that is no int of 0..n-1."""
         for v in vertices:
-            if not (0 <= v < self.n):
-                raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
+            if not (type(v) is int and 0 <= v < self.n):
+                raise VertexOutOfRange(f"vertex {v!r} outside 0..{self.n - 1}")
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -102,9 +102,9 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     mismatch.  Up to ENUMERATION_CAP vertices the solver is the brute-force
     oracle, which shares no search code with the lift's gamma_exact and never
     reads the gamma kept on g; above the cap it is gamma_exact itself.  Tree
-    edges and M are range-checked before any mask is read, and a vertex that
-    is no int cannot index a mask, so malformed input gives NotSubgraph or
-    MNotDominating instead of an exception.
+    edges and M are checked to be ints of 0..n-1 before any mask is read, so
+    malformed input gives NotSubgraph or MNotDominating instead of an
+    exception.
     """
     mset = frozenset(m)
     n = g.n
@@ -114,7 +114,7 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
             u, v = edge
             if not g.has_edge(u, v):
                 return LiftCheck(False, "NotSubgraph")
-        except (TypeError, ValueError):  # not a pair, or a vertex that is no int
+        except (TypeError, ValueError):  # not a pair
             return LiftCheck(False, "NotSubgraph")
         tree_masks[u] |= 1 << v
         tree_masks[v] |= 1 << u
@@ -129,7 +129,7 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     try:
         if not is_dominating_set(tree, mset):
             return LiftCheck(False, "MNotDominating")
-    except (TypeError, VertexOutOfRange):  # a vertex that is no int of 0..n-1
+    except VertexOutOfRange:
         return LiftCheck(False, "MNotDominating")
 
     try:  # each vertex outside M once, in order, with a tree neighbor in M

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +31,7 @@ from domdist.bounds import (
 from domdist.distance import all_pairs_distances
 from domdist.domination import gamma_bruteforce_oracle
 from domdist.errors import BadR
-from domdist.graphs import parse_graph6
+from domdist.graphs import Graph, parse_graph6
 
 import corpusgen
 from conftest import connected_graphs
@@ -291,6 +292,35 @@ class TestPackedAndScannedSides:
         assert found == _first_max_pair_sum(dm, r)
 
 
+# every packed (n, r) above the orders the corpus test covers; r < n packs
+# only up to n = 64 (see TestPackedTableCache.test_bounded)
+_PACKED_ABOVE_SEVEN = [(n, r) for n in range(8, 65) for r in range(3, n + 1) if _packs(n, r)]
+
+
+def _random_connected(n, seed):
+    """A random recursive tree plus each other vertex pair with probability 1/3."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [pair for pair in combinations(range(n), 2) if rng.random() < 1 / 3]
+    return Graph.from_edges(n, edges)
+
+
+class TestEveryPackedTableAboveSeven:
+    """Each packed table with n >= 8 against plain enumeration, up to the
+    last rank of the largest one (C(13, 5) = 1287 subsets)."""
+
+    def test_pairs(self):
+        assert len(_PACKED_ABOVE_SEVEN) == 44
+        assert max(math.comb(n, r) for n, r in _PACKED_ABOVE_SEVEN) == 1287
+
+    @pytest.mark.parametrize("n, r", _PACKED_ABOVE_SEVEN,
+                             ids=[f"{n}-{r}" for n, r in _PACKED_ABOVE_SEVEN])
+    def test_random_graph_and_path(self, n, r):
+        for g in (_random_connected(n, seed=n * 100 + r), path_graph(n)):
+            dm = _dm(g)
+            assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), g
+
+
 class TestPackedTableCache:
     def test_empty_after_import(self):
         src = str(Path(bounds.__file__).resolve().parent.parent)
@@ -507,12 +537,48 @@ class TestAssembleReport:
                 assert c.slack >= 0
 
 
+def _frac_json(f: Fraction) -> dict:
+    return {"num": f.numerator, "den": f.denominator}
+
+
+def _check_json(c) -> dict:
+    if c.skipped:
+        return {"bound": c.name, "skipped": True, "reason": c.skipped_reason}
+    return {
+        "bound": c.name,
+        "skipped": False,
+        "value": _frac_json(c.value),
+        "holds": c.holds,
+        "equality": c.equality,
+        "slack": _frac_json(c.slack),
+        "witness": list(c.witness),
+        "detail": c.detail,
+    }
+
+
+def _to_json_dict(rep) -> dict:
+    """The report as JSON-ready values, built from its fields: the
+    reference record that jsonl_line must write."""
+    return {
+        "graph": rep.graph6,
+        "n": rep.n,
+        "gamma": rep.gamma,
+        "gamma_witness": list(rep.gamma_witness),
+        "bounds": [_check_json(c) for c in rep.checks],
+        "triple_equalities": [
+            {"triple": list(t.triple), "dists": list(t.dists), "mod3_ok": t.mod3_ok}
+            for t in rep.triple_equalities
+        ],
+        "fatal": rep.fatal,
+    }
+
+
 def _sorted_dumps(rep):
-    return json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_to_json_dict(rep), sort_keys=True, separators=(",", ":"))
 
 
 class TestJsonlWriter:
-    """jsonl_line writes what json.dumps(sort_keys=True) makes of to_json_dict."""
+    """jsonl_line writes what json.dumps(sort_keys=True) makes of _to_json_dict."""
 
     def test_every_graph_of_order_seven(self):
         tokens = corpusgen.corpus_path(7).read_text(encoding="ascii").split()

@@ -14,11 +14,12 @@ from domdist.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from domdist.domination import gamma_exact
+from domdist.domination import gamma_exact, is_dominating_set
 from domdist.graphs import Graph, encode_graph6, parse_edgelist, parse_graph6
+from domdist.treelift import lift_gamma_set_to_spanning_tree
 
 from conftest import connected_edge_lists, connected_graphs
-from graphutil import path_graph, star_graph, to_networkx
+from graphutil import cycle_graph, path_graph, star_graph, to_networkx
 
 
 class TestGraphConstruction:
@@ -96,6 +97,30 @@ class TestGraphConstruction:
             g.n = 5
         assert g == path_graph(3)
         assert len({g, path_graph(3)}) == 1
+
+
+class TestIntVertexRule:
+    """A vertex is an int of 0..n-1 at every entry point; anything else is
+    VertexOutOfRange, or no edge."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: is_dominating_set(g, (0, 2.0)),
+        lambda g: lift_gamma_set_to_spanning_tree(g, (0, 2.0)),
+        lambda g: g.check_vertices(["a"]),
+        lambda g: g.check_vertices([True]),
+        lambda g: Graph.from_edges(3, [(0, 1.0), (1, 2)]),
+    ], ids=["is_dominating_set", "lift", "check_vertices-str", "check_vertices-bool",
+            "from_edges"])
+    def test_non_int_vertex_is_out_of_range(self, call):
+        with pytest.raises(VertexOutOfRange):
+            call(cycle_graph(4))
+
+    @pytest.mark.parametrize("u, v", [(0.0, 1), (0, 1.0), ("0", 1), (True, 0)],
+                             ids=["float-u", "float-v", "str", "bool"])
+    def test_has_edge_is_false_for_a_non_int(self, u, v):
+        g = cycle_graph(4)
+        assert g.has_edge(0, 1)
+        assert not g.has_edge(u, v)
 
 
 class TestMaskNativeGraph:

@@ -99,6 +99,12 @@ class TestIterCorpus:
         assert [lineno for lineno, _, _ in entries] == [1, 2, 3]
         assert isinstance(entries[1][2], GraphInputError)
 
+    def test_unknown_format_rejected(self, tmp_path):
+        corpus = tmp_path / "one.g6"
+        corpus.write_text("Bw\n")
+        with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
+            next(iter_corpus(str(corpus), "xml"))
+
     def test_blank_line_neither_processed_nor_skipped(self, tmp_path):
         corpus = tmp_path / "gap.g6"
         corpus.write_text("Bw\n\nCs\n")
