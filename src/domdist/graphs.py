@@ -97,7 +97,7 @@ class Graph:
             raise OrderTooSmall(f"graph order {n} < 2")
         edges = list(edges)
         for u, v in edges:
-            if not (type(u) is int and 0 <= u < n and type(v) is int and 0 <= v < n):
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u!r}, {v!r}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
@@ -125,9 +125,9 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """False for u == v and for a vertex that is no int of 0..n-1."""
-        n = self.n
-        return (type(u) is int and 0 <= u < n and type(v) is int and 0 <= v < n
-                and u != v and self.closed_masks[u] >> v & 1 == 1)
+        # no mask has a bit at n or above, so v < n needs no test of its own
+        return (type(u) is type(v) is int and u != v and 0 <= u < self.n and 0 <= v
+                and self.closed_masks[u] >> v & 1 == 1)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -145,9 +145,10 @@ class Graph:
 
     def check_vertices(self, vertices: Iterable[int]) -> None:
         """Raise VertexOutOfRange for any vertex that is no int of 0..n-1."""
+        n = self.n
         for v in vertices:
-            if not (type(v) is int and 0 <= v < self.n):
-                raise VertexOutOfRange(f"vertex {v!r} outside 0..{self.n - 1}")
+            if not (type(v) is int and 0 <= v < n):
+                raise VertexOutOfRange(f"vertex {v!r} outside 0..{n - 1}")
 
 
 def parse_edgelist(text: str) -> Graph:
