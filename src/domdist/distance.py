@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from .graphs import Graph
@@ -99,11 +98,6 @@ def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:
     if dm is None:
         dm = all_pairs_distances(g)
     return dm.wiener
-
-
-def average_distance(g: Graph, dm: DistanceMatrix | None = None) -> Fraction:
-    """Wiener index divided by n(n-1), kept exact."""
-    return Fraction(wiener_index(g, dm), g.n * (g.n - 1))
 
 
 def boundary_and_set_ecc(g: Graph, dm: DistanceMatrix) -> BoundaryInfo:

@@ -28,14 +28,6 @@ GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of a non-negative mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Connected simple graph on vertices 0..n-1, stored as closed-neighborhood masks.
@@ -96,11 +88,15 @@ class Graph:
         if n < 2:
             raise OrderTooSmall(f"graph order {n} < 2")
         edges = list(edges)
-        for u, v in edges:
-            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u!r}, {v!r}) outside 0..{n - 1}")
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
+        try:
+            for edge in edges:
+                u, v = edge
+                if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                    raise VertexOutOfRange(f"edge ({u!r}, {v!r}) outside 0..{n - 1}")
+                if u == v:
+                    raise SelfLoop(f"self-loop at vertex {u}")
+        except (TypeError, ValueError):  # not a pair
+            raise MalformedLine(f"edge {edge!r} is not a pair of vertices") from None
         if len(edges) < n - 1:
             raise Disconnected(f"{len(edges)} edges cannot connect {n} vertices")
         masks = [1 << v for v in range(n)]
@@ -112,16 +108,9 @@ class Graph:
     @property
     def adj(self) -> tuple[frozenset[int], ...]:
         """Open neighbor set of every vertex, rebuilt from the masks on each access."""
-        return tuple(self.neighbors(v) for v in range(self.n))
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.closed_masks[v] & ~(1 << v)))
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.closed_masks[v]))
-
-    def degree(self, v: int) -> int:
-        return self.closed_masks[v].bit_count() - 1
+        n = self.n
+        return tuple(frozenset(u for u in range(n) if u != v and m >> u & 1)
+                     for v, m in enumerate(self.closed_masks))
 
     def has_edge(self, u: int, v: int) -> bool:
         """False for u == v and for a vertex that is no int of 0..n-1."""
@@ -139,9 +128,6 @@ class Graph:
                 edges.append((u, low.bit_length() - 1))
                 m ^= low
         return tuple(edges)
-
-    def edge_count(self) -> int:
-        return (sum(m.bit_count() for m in self.closed_masks) - self.n) // 2
 
     def check_vertices(self, vertices: Iterable[int]) -> None:
         """Raise VertexOutOfRange for any vertex that is no int of 0..n-1."""

@@ -261,12 +261,11 @@ def counterexample_demo() -> CounterexampleReport:
     length = len(path) - 1
     diametral = induced and length == dm.diam
 
-    nu = g.closed_neighborhood(s[0])
-    nv = g.closed_neighborhood(s[1])
+    nu, nv = g.closed_masks[s[0]], g.closed_masks[s[1]]
     joining = sum(
         1
         for a, b in zip(path, path[1:])
-        if (a in nu and b in nv) or (a in nv and b in nu)
+        if (nu >> a & 1 and nv >> b & 1) or (nv >> a & 1 and nu >> b & 1)
     )
     claimed = gamma - 1
 

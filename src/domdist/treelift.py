@@ -47,9 +47,13 @@ class LiftCheck:
 def lift_gamma_set_to_spanning_tree(g: Graph, m: Iterable[int]) -> SpanningTreeLift:
     """Build the star-plus-connectors spanning tree for a minimum dominating set.
 
-    Raises NotAGammaSet when m is not dominating or not of minimum size.
+    Raises NotAGammaSet when m is not dominating or not of minimum size, and
+    VertexOutOfRange when a member of m is no int of 0..n-1.
     """
-    mset = frozenset(m)
+    try:
+        mset = frozenset(m)
+    except TypeError:  # an unhashable member
+        raise VertexOutOfRange(f"a member of M is no int of 0..{g.n - 1}") from None
     if not is_dominating_set(g, mset):
         raise NotAGammaSet(f"{sorted(mset)} does not dominate the graph")
     gamma = gamma_exact(g).gamma
@@ -106,7 +110,10 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     malformed input gives NotSubgraph or MNotDominating instead of an
     exception.
     """
-    mset = frozenset(m)
+    try:
+        mset = frozenset(m)
+    except TypeError:  # an unhashable member
+        return LiftCheck(False, "MNotDominating")
     n = g.n
     tree_masks = [1 << v for v in range(n)]
     for edge in lift.tree_edges:

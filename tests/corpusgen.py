@@ -1,11 +1,11 @@
 """Connected-graph corpora for the test suite.
 
 Corpora are graph6 files, one graph per line, holding every connected graph
-of a given order up to isomorphism.  Orders 2..5 ship with the package;
-orders 6..8 live under tests/data/ and are regenerated here when missing
-(leaf extension of the order-7 atlas plus isomorphism dedup).  Known class
-counts act as the enumeration oracle: any canonicalization bug shows up as
-a count mismatch.
+of a given order up to isomorphism.  Orders 2..8 live under tests/data/
+and are regenerated here when missing (the networkx atlas up to order 7,
+leaf extension of the order-7 atlas plus isomorphism dedup for order 8).
+Known class counts act as the enumeration oracle: any canonicalization bug
+shows up as a count mismatch.
 
 Set DOMDIST_CORPUS_DIR to a directory of externally produced files named
 connected_n<N>.g6 (e.g. nauty geng output) to use those instead.
@@ -21,14 +21,12 @@ from pathlib import Path
 import networkx as nx
 from networkx.algorithms.graph_hashing import weisfeiler_lehman_graph_hash
 
-from domdist.corpora import BUNDLED_ORDERS, bundled_corpus_path
 from domdist.graphs import Graph, encode_graph6, parse_graph6
 
 # connected graphs up to isomorphism, per order
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
-BUNDLED_DIR = Path(__file__).resolve().parent.parent / "src" / "domdist" / "data"
 
 
 def _connected_atlas(n: int) -> list[nx.Graph]:
@@ -102,8 +100,6 @@ def corpus_path(n: int) -> Path:
         candidate = Path(override) / f"connected_n{n}.g6"
         if candidate.exists():
             return candidate
-    if n in BUNDLED_ORDERS:
-        return bundled_corpus_path(n)
     path = DATA_DIR / f"connected_n{n}.g6"
     if not path.exists():
         _write_corpus(path, corpus_lines(n))
@@ -119,11 +115,7 @@ def load_corpus(n: int) -> list[Graph]:
 
 
 def main() -> None:
-    for n in BUNDLED_ORDERS:
-        lines = corpus_lines(n)
-        _write_corpus(BUNDLED_DIR / f"connected_n{n}.g6", lines)
-        print(f"n={n}: {len(lines)} graphs -> {BUNDLED_DIR}")
-    for n in (6, 7, 8):
+    for n in CONNECTED_COUNTS:
         lines = corpus_lines(n)
         _write_corpus(DATA_DIR / f"connected_n{n}.g6", lines)
         print(f"n={n}: {len(lines)} graphs -> {DATA_DIR}")

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Corpora: bundled package fixtures for n <= 5, cached generated files
-(tests/data) for n = 6..8, overridable via DOMDIST_CORPUS_DIR.
+lines.  Corpora: cached generated files (tests/data) for n = 2..8,
+overridable via DOMDIST_CORPUS_DIR.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def test_criterion_8_determinism(tmp_path):
 
 
 @pytest.mark.skipif(bool(os.environ.get("DOMDIST_CORPUS_DIR")),
-                    reason="the pinned hash is of the bundled n=8 corpus")
+                    reason="the pinned hash is of the checked-in n=8 corpus")
 def test_n8_jsonl_is_pinned(reports):
     """The JSONL of the n=8 corpus hashes to the pinned sha256."""
     digest = hashlib.sha256()

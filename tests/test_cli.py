@@ -13,12 +13,13 @@ import pytest
 import domdist
 from domdist import bounds
 from domdist.cli import build_parser, main
-from domdist.corpora import bundled_corpus_path
+
+import corpusgen
 
 
 @pytest.fixture
 def n4_corpus():
-    return str(bundled_corpus_path(4))
+    return str(corpusgen.corpus_path(4))
 
 
 class TestAnalyze:
@@ -231,7 +232,7 @@ class TestVerify:
             return dataclasses.replace(c, detail=c.detail | {"spade": spade | {"ok": False}})
 
         monkeypatch.setattr(bounds, "boundary_ecc_lb", failing_spade)
-        assert main(["verify", str(bundled_corpus_path(5))]) == 1
+        assert main(["verify", str(corpusgen.corpus_path(5))]) == 1
         out = capsys.readouterr().out
         named = [line for line in out.splitlines() if line.endswith(": boundary-ecc-spade")]
         assert "violations: 16" in out
@@ -241,7 +242,7 @@ class TestVerify:
         # plant an equality triple with distances not 2 (mod 3) on every graph
         bad = bounds.TripleEquality(triple=(0, 1, 2), dists=(1, 1, 1), mod3_ok=False)
         monkeypatch.setattr(bounds, "triple_equality_analysis", lambda gamma, dm: (bad,))
-        assert main(["verify", str(bundled_corpus_path(4))]) == 1
+        assert main(["verify", str(corpusgen.corpus_path(4))]) == 1
         out = capsys.readouterr().out
         named = [line for line in out.splitlines() if line.endswith(": triple-mod3")]
         assert "violations: 6" in out
@@ -303,7 +304,7 @@ class TestTight:
             return real(gamma, dm, r)
 
         monkeypatch.setattr(bounds, "r_subset_lb", recording)
-        assert main(["tight", str(bundled_corpus_path(5)), "--bound", bound]) == 0
+        assert main(["tight", str(corpusgen.corpus_path(5)), "--bound", bound]) == 0
         assert sorted(set(calls)) == scanned
 
     def test_r_is_not_an_option(self, n4_corpus, capsys):

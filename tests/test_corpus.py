@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 import corpusgen
-from domdist.corpora import bundled_corpus_path
 from graphutil import to_networkx
 
 
@@ -37,8 +36,3 @@ def test_pairwise_non_isomorphic(n, corpus):
     graphs = [to_networkx(g) for g in corpus(n)]
     for a, b in combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
-
-
-def test_unbundled_order_rejected():
-    with pytest.raises(ValueError):
-        bundled_corpus_path(9)

@@ -5,9 +5,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from domdist.bounds import average_distance_lb
 from domdist.distance import (
     all_pairs_distances,
-    average_distance,
     boundary_and_set_ecc,
     wiener_index,
 )
@@ -88,13 +88,15 @@ class TestWienerIndex:
 
     def test_c6(self):
         assert wiener_index(cycle_graph(6)) == 27
-        assert average_distance(cycle_graph(6)) == Fraction(9, 10)
+        dm = all_pairs_distances(cycle_graph(6))
+        assert Fraction(dm.wiener, 6 * 5) == Fraction(9, 10)
 
     def test_star_k15(self):
         assert wiener_index(star_graph(5)) == 25
 
     def test_mu_is_exact_rational(self):
-        mu = average_distance(path_graph(4))
+        # the average-distance bound reports mu = W/(n(n-1)) as its value
+        mu = average_distance_lb(1, all_pairs_distances(path_graph(4))).value
         assert isinstance(mu, Fraction)
         assert mu == Fraction(10, 12)
 

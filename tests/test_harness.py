@@ -3,7 +3,6 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from domdist.corpora import bundled_corpus_path
 from domdist.errors import GraphInputError, InvalidGraph6, UnknownBound
 from domdist.graphs import encode_graph6
 from domdist.harness import (
@@ -15,12 +14,13 @@ from domdist.harness import (
     scan_tight_instances,
 )
 
+import corpusgen
 from graphutil import star_graph, to_networkx
 
 
 @pytest.fixture
 def n4_corpus():
-    return str(bundled_corpus_path(4))
+    return str(corpusgen.corpus_path(4))
 
 
 class TestRunCorpusVerify:

@@ -170,7 +170,7 @@ class TestVerifyLift:
         assert not check
         assert check.reason == "NotSubgraph"
 
-    @pytest.mark.parametrize("m", [(0, 9), (0, -1), (1, 2.0), (1, "a")])
+    @pytest.mark.parametrize("m", [(0, 9), (0, -1), (1, 2.0), (1, "a"), ([0], 2)])
     def test_set_outside_graph_is_not_dominating(self, m):
         g = cycle_graph(4)
         lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
