@@ -4,12 +4,16 @@ Subcommands: analyze (one graph, full bound report), verify (corpus sweep),
 tight (equality instances for one bound), lift (gamma-set preserving spanning
 tree), counterexample (the 6-vertex diametral-path demo).
 
+analyze and lift read a file's first harness.iter_corpus entry, so a graph
+that verify would skip (n > 62 included) makes them exit 2.
+
 Exit codes: 0 success, 1 theorem violation or failed verification, 2 usage
 or input error.  verify and tight skip malformed corpus entries and count
 them (verify on stdout, tight on stderr, so its stdout stays one token per
-line); verify --strict exits 2 on the first one instead.  Both print the
-number of checks skipped for budget as "budget-skipped: N" on stderr when
-it is not zero.
+line); verify --strict exits 2 on the first one instead, and verify exits 2
+on a --jsonl file that is the corpus itself.  Both print the number of
+checks skipped for budget as "budget-skipped: N" on stderr when it is not
+zero.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ import sys
 from .bounds import BoundReport, DEFAULT_RS, assemble_report
 from .domination import gamma_exact
 from .errors import DomdistError, GraphInputError, MalformedLine
-from .graphs import Graph, parse_edgelist, parse_graph6
+from .graphs import Graph, parse_graph6
 from .harness import (
     FORMAT_EDGELIST,
     FORMAT_GRAPH6,
-    VerifyConfig,
-    _iter_edgelist_blocks,
-    _iter_graph6_entries,
     counterexample_demo,
+    iter_corpus,
     run_corpus_verify,
     scan_tight_instances,
 )
@@ -57,14 +59,14 @@ def _parse_vertex_set(text: str) -> tuple[int, ...]:
 
 
 def _load_single_graph(spec: str, fmt: str) -> Graph:
-    """Load a file's first graph, or a literal graph6 string."""
+    """Load a file's first corpus entry, or a literal graph6 string."""
     if os.path.exists(spec):
+        for _, _, item in iter_corpus(spec, fmt):
+            if isinstance(item, GraphInputError):
+                raise item
+            return item
         if fmt == FORMAT_GRAPH6:
-            for _, line in _iter_graph6_entries(spec):
-                return parse_graph6(line)
             raise GraphInputError(f"no graph6 line in {spec}")
-        for _, block in _iter_edgelist_blocks(spec):
-            return parse_edgelist(block)
         raise MalformedLine(f"no edge-list block in {spec}")
     if fmt == FORMAT_GRAPH6:
         return parse_graph6(spec)
@@ -107,8 +109,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = VerifyConfig(fmt=args.format, rs=args.r, strict=args.strict)
-    summary = run_corpus_verify(args.corpus, config, jsonl_path=args.jsonl)
+    summary = run_corpus_verify(args.corpus, fmt=args.format, rs=args.r,
+                                strict=args.strict, jsonl_path=args.jsonl)
     print(f"processed: {summary.graphs_processed}")
     print(f"skipped:   {summary.skipped}")
     for lineno, msg in summary.errors:

@@ -1,7 +1,8 @@
 """Corpus-scale verification driver and the diametral-path counterexample.
 
 A corpus is a file of graph6 lines (one graph per line) or, with the
-edgelist format, blank-line-separated edge-list blocks.  Reports are
+edgelist format, blank-line-separated edge-list blocks.  iter_corpus is the
+one reader of graph files; every CLI command reads through it.  Reports are
 produced in input order, so repeated runs over the same file are
 byte-identical.  Bytes that do not decode are read as surrogate escapes,
 which the parsers reject, so such an entry is malformed like any other.
@@ -9,6 +10,7 @@ which the parsers reject, so such an entry is malformed like any other.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -31,13 +33,6 @@ from .graphs import GRAPH6_HEADER, Graph, encode_graph6, parse_edgelist, parse_g
 
 FORMAT_GRAPH6 = "graph6"
 FORMAT_EDGELIST = "edgelist"
-
-
-@dataclass
-class VerifyConfig:
-    fmt: str = FORMAT_GRAPH6
-    rs: tuple[int, ...] = DEFAULT_RS
-    strict: bool = False
 
 
 @dataclass
@@ -112,32 +107,34 @@ def iter_corpus(path: str, fmt: str = FORMAT_GRAPH6) -> Iterator[tuple[int, str,
         raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _corpus_reports(path: str, config: VerifyConfig) -> Iterator[tuple[int, str, BoundReport | GraphInputError]]:
-    for lineno, token, item in iter_corpus(path, config.fmt):
+def _corpus_reports(path: str, fmt: str, rs: tuple[int, ...],
+                    strict: bool) -> Iterator[tuple[int, str, BoundReport | GraphInputError]]:
+    for lineno, token, item in iter_corpus(path, fmt):
         if isinstance(item, GraphInputError):
-            if config.strict:
+            if strict:
                 raise item
             yield lineno, token, item
             continue
-        yield lineno, token, assemble_report(item, rs=config.rs, graph_id=token)
+        yield lineno, token, assemble_report(item, rs=rs, graph_id=token)
 
 
 def run_corpus_verify(
-    path: str,
-    config: VerifyConfig | None = None,
-    jsonl_path: str | None = None,
+    path: str, *, fmt: str = FORMAT_GRAPH6, rs: tuple[int, ...] = DEFAULT_RS,
+    strict: bool = False, jsonl_path: str | None = None,
 ) -> CorpusSummary:
     """Analyze every corpus graph, tally equalities, and count bound violations.
 
     In strict mode a malformed entry aborts the run by raising; otherwise it
-    is counted as skipped and recorded in summary.errors.
+    is counted as skipped and recorded in summary.errors.  A jsonl_path that
+    names the corpus itself raises FileExistsError before either is opened.
     """
-    config = config or VerifyConfig()
+    if jsonl_path and os.path.exists(jsonl_path) and os.path.samefile(path, jsonl_path):
+        raise FileExistsError(f"JSONL sidecar {jsonl_path} is the corpus itself")
     summary = CorpusSummary()
     start = time.perf_counter()
     jsonl = open(jsonl_path, "w", encoding="ascii") if jsonl_path else None
     try:
-        for lineno, token, item in _corpus_reports(path, config):
+        for lineno, token, item in _corpus_reports(path, fmt, rs, strict):
             if isinstance(item, GraphInputError):
                 summary.skipped += 1
                 summary.errors.append((lineno, f"{type(item).__name__}: {item}"))
@@ -199,7 +196,7 @@ def scan_tight_instances(
     rs = (int(name.split(":")[1]),) if name.startswith("r-subset:") else ()
     tight: list[str] = []
     skipped = budget_skipped = 0
-    for _, token, item in _corpus_reports(path, VerifyConfig(fmt=fmt, rs=rs)):
+    for _, token, item in _corpus_reports(path, fmt, rs, strict=False):
         if isinstance(item, GraphInputError):
             skipped += 1
             continue

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import domdist
-from domdist import bounds
+from domdist import bounds, cli, treelift
 from domdist.cli import build_parser, main
 
 import corpusgen
@@ -70,15 +70,18 @@ class TestAnalyze:
         row = next(line for line in out.splitlines() if "r-subset:1000000" in line)
         assert row.split() == ["r-subset:1000000", "skipped", "(r=1000000", "exceeds", "n=4)"]
 
-    def test_order_graph6_cannot_name_exits_2_before_gamma(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    def test_order_graph6_cannot_name_exits_2_before_gamma(self, tmp_path, monkeypatch, capsys,
+                                                            command):
         def no_gamma(*args, **kwargs):
             raise AssertionError("gamma solved")
 
-        monkeypatch.setattr(bounds, "gamma_exact", no_gamma)
+        for module in (bounds, cli, treelift):
+            monkeypatch.setattr(module, "gamma_exact", no_gamma)
         rng = random.Random(5)
         path = tmp_path / "tree70.el"
         path.write_text("n 70\n" + "".join(f"{v} {rng.randrange(v)}\n" for v in range(1, 70)))
-        assert main(["analyze", str(path), "--format", "edgelist"]) == 2
+        assert main([command, str(path), "--format", "edgelist"]) == 2
         assert "short-form graph6 supports n <= 62" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "lift"])
@@ -151,6 +154,15 @@ class TestVerify:
         assert main(["verify", n4_corpus, "--jsonl", str(a)]) == 0
         assert main(["verify", n4_corpus, "--jsonl", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jsonl_naming_the_corpus_exits_2_and_keeps_it(self, n4_corpus, tmp_path, capsys):
+        corpus = tmp_path / "c.g6"
+        data = Path(n4_corpus).read_bytes()
+        corpus.write_bytes(data)
+        sidecar = os.path.join(tmp_path, ".", "c.g6")  # another spelling of the same file
+        assert main(["verify", str(corpus), "--jsonl", sidecar]) == 2
+        assert "is the corpus itself" in capsys.readouterr().err
+        assert corpus.read_bytes() == data
 
     def test_jsonl_matches_golden_capture(self, tmp_path, capsys):
         # the JSONL contract is byte-identical output: this pins the sha256

@@ -6,7 +6,6 @@ import pytest
 from domdist.errors import GraphInputError, InvalidGraph6, UnknownBound
 from domdist.graphs import encode_graph6
 from domdist.harness import (
-    VerifyConfig,
     canonical_bound_name,
     counterexample_demo,
     iter_corpus,
@@ -54,7 +53,7 @@ class TestRunCorpusVerify:
         corpus = tmp_path / "bad.g6"
         corpus.write_text("Bw\n!!!notgraph6\n")
         with pytest.raises(GraphInputError):
-            run_corpus_verify(str(corpus), VerifyConfig(strict=True))
+            run_corpus_verify(str(corpus), strict=True)
 
     def test_disconnected_graph6_counts_as_skip(self, tmp_path):
         corpus = tmp_path / "disc.g6"
@@ -68,7 +67,7 @@ class TestRunCorpusVerify:
         corpus.write_text(
             "# first: P3\nn 3\n0 1\n1 2\n\n\n# second: K2\nn 2\n0 1\n"
         )
-        summary = run_corpus_verify(str(corpus), VerifyConfig(fmt="edgelist"))
+        summary = run_corpus_verify(str(corpus), fmt="edgelist")
         assert summary.graphs_processed == 2
         assert summary.violations == 0
 
@@ -78,7 +77,7 @@ class TestRunCorpusVerify:
         corpus = tmp_path / "graphs.el"
         corpus.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31))
                           + "\nn 2\n0 1\n")
-        summary = run_corpus_verify(str(corpus), VerifyConfig(fmt="edgelist"))
+        summary = run_corpus_verify(str(corpus), fmt="edgelist")
         assert (summary.graphs_processed, summary.skipped) == (2, 0)
         assert summary.budget_skipped == 1
         assert "r-subset:5" not in summary.equality_counts

@@ -19,8 +19,20 @@ def _absolute_imports(path: Path) -> list[str]:
     return names
 
 
+def _relative_import_targets(path: Path) -> set[str]:
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            targets.update(f"{m}.py" for m in modules)
+    return targets
+
+
 def test_sources_found():
-    assert len(SOURCES) >= 10
+    names = {p.name for p in SOURCES}
+    assert "__init__.py" in names
+    missing = set().union(*map(_relative_import_targets, SOURCES)) - names
+    assert missing == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
