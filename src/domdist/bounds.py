@@ -16,12 +16,19 @@ holds=None, so every holds=True is proved over all r-subsets.
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
 r-subsets and the first subset attaining it in itertools.combinations
 order, for the triple bound and every r.  Where _packs(n, r) holds it
-packs every subset's sum into one byte of one integer, from the pair
-distances DistanceMatrix.pair_dists and a cached table per (n, r), laid
-out in that order; elsewhere it scans the subsets in that order.
+reads every subset's sum from one byte of one integer; elsewhere it scans
+the subsets in that order.  One product per graph packs the sums of every
+r that packs at its order: the pair distances DistanceMatrix.pair_dists
+times a cached table per order n, laid out r by r in that order.  It is
+computed on first use and kept on the DistanceMatrix, the way gamma is
+kept on its Graph, so the triple bound, every packed r-subset bound and
+triple_equality_analysis read the same bytes: the equality triples are
+the r = 3 bytes equal to 6*gamma, found with bytes.find.  Where r = 3 does
+not pack, the triples are scanned.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
-one line of sorted-key compact JSON.
+one line of sorted-key compact JSON, one f-string per check, with the
+reduced fractions and the small int lists memoised in bounded caches.
 """
 
 from __future__ import annotations
@@ -30,10 +37,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, islice, starmap
+from json.encoder import encode_basestring_ascii  # what json.dumps(s) does for a str s
 from operator import add, and_, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .distance import DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
@@ -72,7 +80,8 @@ class BoundCheck:
     den: int
     margin: int | None
     witness: tuple[int, ...]
-    detail: dict = field(default_factory=dict)
+    # a dict cannot be hashed; equality still compares it
+    detail: dict = field(default_factory=dict, hash=False)
     skipped_reason: str | None = None
 
     @property
@@ -144,39 +153,66 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    Where _packs(n, r) every subset's sum comes out of one integer: byte f
-    of sum(d(p) * fields[p]) over the vertex pairs p is S(X_f), for X_f the
-    f-th subset of combinations(range(n), r) (see _packed_fields), and the
-    witness is the subset at the first byte holding the maximum.  Elsewhere
-    the subsets are scanned in that order.
+    Where _packs(n, r) the sums are read from the packed product (see
+    _packed_sums), and the witness is the subset at the first byte holding
+    the maximum.  Elsewhere the subsets are scanned in that order.
     """
     n = dm.n
     if not _packs(n, r):
         return _scan_pair_sums(dm.d, r)
-    packed = sum(map(mul, dm.pair_dists, _packed_fields(n, r)))
-    sums = packed.to_bytes(math.comb(n, r), "little")
+    sums = _packed_sums(dm, r)
     best = max(sums)
     return best, next(islice(combinations(range(n), r), sums.index(best), None))
 
 
+def _packed_sums(dm: DistanceMatrix, r: int) -> bytes:
+    """S(X) for every r-subset X, one byte each in lexicographic order, for
+    _packs(n, r).
+
+    One product per DistanceMatrix gives the sums of every packed r at
+    once: byte f of sum(d(p) * fields[p]) over the vertex pairs p, with the
+    table of _packed_table(n), is the sum of the subset at byte f.  It is
+    kept on the matrix, so the triple bound, each r-subset bound and the
+    equality triples of one graph read the same bytes.
+    """
+    fields, spans, size = _packed_table(dm.n)
+    sums = dm._packed_sums
+    if sums is None:
+        sums = sum(map(mul, dm.pair_dists, fields)).to_bytes(size, "little")
+        object.__setattr__(dm, "_packed_sums", sums)
+    return sums[spans[r]]
+
+
 @cache
-def _packed_fields(n: int, r: int) -> tuple[int, ...]:
-    """The packed table of (n, r), for _packs(n, r): one int per vertex
-    pair, in the order of DistanceMatrix.pair_dists, whose byte f is 1 iff
-    the pair lies in the f-th r-subset in lexicographic order.
+def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int]:
+    """The packed table of order n: one int per vertex pair, in the order
+    of DistanceMatrix.pair_dists, plus the bytes of each r and the byte
+    count.  For each r with _packs(n, r), in increasing order, the table
+    holds one byte per r-subset in lexicographic order, and byte f of a
+    pair's int is 1 iff the pair lies in the subset at byte f.
 
     Memory: the cache is filled lazily, so importing the package builds no
-    table, and it keeps every table built: all 59 that _packs admits take
-    under 1e6 bytes together.
+    table, and it keeps every table built: the 16 orders that pack, which
+    hold the 59 pairs (n, r) that _packs admits, take under 1e6 bytes
+    together.
     """
-    # byte f of members[v] is 1 iff v is in the f-th r-subset, so a pair's
-    # int is the AND of its two vertices' ints
-    members = [bytearray(math.comb(n, r)) for _ in range(n)]
-    for at, subset in enumerate(combinations(range(n), r)):
-        for v in subset:
-            members[v][at] = 1
+    # byte f of members[v] is 1 iff v is in the subset at byte f, so a
+    # pair's int is the AND of its two vertices' ints
+    members = [bytearray() for _ in range(n)]
+    spans = {}
+    size = 0
+    for r in range(3, n + 1):
+        if not _packs(n, r):
+            continue
+        spans[r] = slice(size, size + math.comb(n, r))
+        for m in members:
+            m.extend(bytes(math.comb(n, r)))
+        for at, subset in enumerate(combinations(range(n), r), size):
+            for v in subset:
+                members[v][at] = 1
+        size = spans[r].stop
     ints = [int.from_bytes(m, "little") for m in members]
-    return tuple(starmap(and_, combinations(ints, 2)))
+    return tuple(starmap(and_, combinations(ints, 2))), spans, size
 
 
 def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int) -> tuple[int, tuple[int, ...]]:
@@ -222,15 +258,41 @@ def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
 def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEquality, ...]:
     """Every triple attaining 6*gamma, each distance checked for = 2 (mod 3).
 
-    A witness with a distance not congruent to 2 mod 3 contradicts the
-    equality corollary and is treated as fatal by report assembly.
+    Where _packs(n, 3) the triples are the bytes of the packed r = 3 sums
+    that equal 6*gamma; elsewhere every triple is scanned.  A witness with a
+    distance not congruent to 2 mod 3 contradicts the equality corollary
+    and is treated as fatal by report assembly.
     """
     target = 6 * gamma
     if target > 3 * dm.diam:
         return ()  # each of a triple's three distances is at most diam
     n = dm.n
     d = dm.d
+    if _packs(n, 3):
+        triples = _triples_at(_packed_sums(dm, 3), n, target)
+    else:
+        triples = _scan_triples(d, target)
     found = []
+    for i, j, k in triples:
+        dists = (d[i][j], d[i][k], d[j][k])
+        found.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
+    return tuple(found)
+
+
+def _triples_at(sums: bytes, n: int, target: int) -> Iterator[tuple[int, int, int]]:
+    """The triples whose packed sum is target, in lexicographic order."""
+    triples = combinations(range(n), 3)
+    taken = 0  # triples consumed so far
+    at = sums.find(target)
+    while at >= 0:
+        yield next(islice(triples, at - taken, None))
+        taken = at + 1
+        at = sums.find(target, taken)
+
+
+def _scan_triples(d: tuple[tuple[int, ...], ...], target: int) -> Iterator[tuple[int, int, int]]:
+    """The triples whose pair-distance sum is target, in lexicographic order."""
+    n = len(d)
     for i in range(n - 2):
         di = d[i]
         for j in range(i + 1, n - 1):
@@ -238,13 +300,7 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
             need = target - di[j]
             for k in range(j + 1, n):
                 if di[k] + dj[k] == need:
-                    dists = (di[j], di[k], dj[k])
-                    found.append(TripleEquality(
-                        triple=(i, j, k),
-                        dists=dists,
-                        mod3_ok=all(x % 3 == 2 for x in dists),
-                    ))
-    return tuple(found)
+                    yield i, j, k
 
 
 def r_subset_lb(gamma: int, dm: DistanceMatrix, r: int) -> BoundCheck:
@@ -329,68 +385,72 @@ class BoundReport:
 
         Written directly in the key order and spacing of
         json.dumps(..., sort_keys=True, separators=(",", ":")), which the
-        tests hold it to.  The graph id and the skip reasons go through
-        json.dumps, so their escaping is the same; every other string is one
-        of this module's ASCII constants.
+        tests hold it to, one f-string per check.  The skip reasons go
+        through json.dumps and the graph id through the escape json.dumps
+        uses for a str, so their escaping is the same; every other string is
+        one of this module's ASCII constants.
         """
-        bounds = ",".join(map(_check_jsonl, self.checks))
+        bounds = []
+        for c in self.checks:
+            name, num = c.name, c.num
+            if num is None:
+                bounds.append(f'{{"bound":"{name}","reason":{json.dumps(c.skipped_reason)},'
+                              f'"skipped":true}}')
+                continue
+            d, den, margin = c.detail, c.den, c.margin
+            if name == BOUND_DIAMETER:
+                detail = f'{{"diam":{d["diam"]},"margin":{d["margin"]}}}'
+            elif name == BOUND_TRIPLE:
+                detail = f'{{"margin":{d["margin"]},"pair_sum":{d["pair_sum"]}}}'
+            elif name == BOUND_AVERAGE_DISTANCE:
+                detail = f'{{"margin":{d["margin"]},"wiener":{d["wiener"]}}}'
+            elif name.startswith(_R_SUBSET):
+                detail = (f'{{"margin":{d["margin"]},"method":"{d["method"]}",'
+                          f'"pair_sum":{d["pair_sum"]},"r":{d["r"]}}}')
+            else:  # BOUND_BOUNDARY_ECC
+                spade = d["spade"]
+                if spade is not None:
+                    spade = (f'{{"ok":{"true" if spade["ok"] else "false"},"sum":{spade["sum"]},'
+                             f'"threshold":{spade["threshold"]},"x":{spade["x"]},'
+                             f'"y":{spade["y"]},"z":{spade["z"]}}}')
+                detail = (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(tuple(d["boundary"]))},'
+                          f'"margin":{d["margin"]},"spade":{spade or "null"},"z":{d["z"]}}}')
+            bounds.append(
+                f'{{"bound":"{name}","detail":{detail},'
+                f'"equality":{"true" if margin == 0 else "false"},'
+                f'"holds":{"true" if margin >= 0 else "false"},'
+                f'"skipped":false,"slack":{_frac_jsonl(margin, den)},'
+                f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(c.witness)}}}'
+            )
         triples = ",".join(
-            f'{{"dists":{_ints_jsonl(t.dists)},"mod3_ok":{_bool_jsonl(t.mod3_ok)},'
+            f'{{"dists":{_ints_jsonl(t.dists)},"mod3_ok":{"true" if t.mod3_ok else "false"},'
             f'"triple":{_ints_jsonl(t.triple)}}}'
             for t in self.triple_equalities
         )
         return (
-            f'{{"bounds":[{bounds}],"fatal":{_bool_jsonl(self.fatal)},"gamma":{self.gamma},'
-            f'"gamma_witness":{_ints_jsonl(self.gamma_witness)},'
-            f'"graph":{json.dumps(self.graph6)},"n":{self.n},'
+            f'{{"bounds":[{",".join(bounds)}],"fatal":{"true" if self.fatal else "false"},'
+            f'"gamma":{self.gamma},"gamma_witness":{_ints_jsonl(self.gamma_witness)},'
+            f'"graph":{encode_basestring_ascii(self.graph6)},"n":{self.n},'
             f'"triple_equalities":[{triples}]}}'
         )
 
 
-def _bool_jsonl(b: bool) -> str:
-    return "true" if b else "false"
+# Each memo below keeps at most JSONL_MEMO_SIZE strings: more than the
+# distinct fractions, or the distinct witnesses and boundaries, of all
+# connected graphs of order 8.
+JSONL_MEMO_SIZE = 2048
 
 
-def _ints_jsonl(xs: Sequence[int]) -> str:
-    return f'[{",".join(map(str, xs))}]'
-
-
+@lru_cache(maxsize=JSONL_MEMO_SIZE)
 def _frac_jsonl(num: int, den: int) -> str:
     # num/den in lowest terms, as Fraction(num, den) has it (den > 0)
     g = math.gcd(num, den)
     return f'{{"den":{den // g},"num":{num // g}}}'
 
 
-def _detail_jsonl(name: str, d: dict) -> str:
-    if name.startswith(_R_SUBSET):
-        return (f'{{"margin":{d["margin"]},"method":"{d["method"]}",'
-                f'"pair_sum":{d["pair_sum"]},"r":{d["r"]}}}')
-    if name == BOUND_DIAMETER:
-        return f'{{"diam":{d["diam"]},"margin":{d["margin"]}}}'
-    if name == BOUND_TRIPLE:
-        return f'{{"margin":{d["margin"]},"pair_sum":{d["pair_sum"]}}}'
-    if name == BOUND_AVERAGE_DISTANCE:
-        return f'{{"margin":{d["margin"]},"wiener":{d["wiener"]}}}'
-    # BOUND_BOUNDARY_ECC
-    spade = d["spade"]
-    if spade is not None:
-        spade = (f'{{"ok":{_bool_jsonl(spade["ok"])},"sum":{spade["sum"]},'
-                 f'"threshold":{spade["threshold"]},"x":{spade["x"]},"y":{spade["y"]},'
-                 f'"z":{spade["z"]}}}')
-    return (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(d["boundary"])},'
-            f'"margin":{d["margin"]},"spade":{spade or "null"},"z":{d["z"]}}}')
-
-
-def _check_jsonl(c: BoundCheck) -> str:
-    if c.num is None:
-        return f'{{"bound":"{c.name}","reason":{json.dumps(c.skipped_reason)},"skipped":true}}'
-    margin = c.margin
-    return (
-        f'{{"bound":"{c.name}","detail":{_detail_jsonl(c.name, c.detail)},'
-        f'"equality":{_bool_jsonl(margin == 0)},"holds":{_bool_jsonl(margin >= 0)},'
-        f'"skipped":false,"slack":{_frac_jsonl(margin, c.den)},'
-        f'"value":{_frac_jsonl(c.num, c.den)},"witness":{_ints_jsonl(c.witness)}}}'
-    )
+@lru_cache(maxsize=JSONL_MEMO_SIZE)
+def _ints_jsonl(xs: tuple[int, ...]) -> str:
+    return f'[{",".join(map(str, xs))}]'
 
 
 def assemble_report(

@@ -1,9 +1,16 @@
-"""Distance-based invariants: all-pairs BFS, Wiener index, boundary, set eccentricity."""
+"""Distance-based invariants: all-pairs BFS, Wiener index, boundary, set eccentricity.
+
+all_pairs_distances builds only what the bounds read: the BFS rows, the
+pair distances in the layout of the packed r-subset tables, W(G), the
+first diametral pair, and the boundary with its set eccentricity.  Each
+eccentricity is the depth its BFS ends at, and the set eccentricity of a
+boundary that is every vertex is 0 without a scan.  The packed r-subset
+sums are kept on the matrix by the bounds module, once per matrix.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 from .graphs import Graph
 
@@ -26,6 +33,9 @@ class DistanceMatrix:
     pair_dists: tuple[int, ...]
     diametral_pair: tuple[int, int]
     boundary_info: BoundaryInfo
+    # set by bounds on first use: every packed r-subset sum of this matrix;
+    # a DistanceMatrix never changes, so neither do they
+    _packed_sums: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -45,51 +55,61 @@ class BoundaryInfo:
     witness: int
 
 
-def _bfs_row(g: Graph, source: int) -> tuple[int, ...]:
-    # the next level is the union of this level's closed neighborhoods,
-    # minus every vertex already reached
-    masks = g.closed_masks
-    dist = [0] * g.n
-    seen = level = 1 << source
-    d = 0
-    while level:
-        reach = 0
-        while level:
-            low = level & -level
-            v = low.bit_length() - 1
-            dist[v] = d
-            reach |= masks[v]
-            level ^= low
-        d += 1
-        level = reach & ~seen
-        seen |= level
-    return tuple(dist)
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every source, then every invariant from the rows.
 
-    The eccentricities give diam and the boundary and are not kept.
+    Each BFS expands one level per pass: the next level is the union of
+    this level's closed neighborhoods minus every vertex already reached,
+    and the depth of the last non-empty level is the source's eccentricity.
     Connectivity is guaranteed by Graph.
     """
-    rows = tuple(_bfs_row(g, v) for v in range(g.n))
-    ecc = tuple(map(max, rows))
+    masks = g.closed_masks
+    n = g.n
+    rows = []
+    ecc = []
+    pairs: list[int] = []
+    for source in range(n):
+        dist = [0] * n
+        seen = level = 1 << source
+        depth = 0
+        while True:
+            reach = 0
+            while level:
+                low = level & -level
+                v = low.bit_length() - 1
+                dist[v] = depth
+                reach |= masks[v]
+                level ^= low
+            level = reach & ~seen
+            if not level:
+                break
+            depth += 1
+            seen |= level
+        rows.append(tuple(dist))
+        ecc.append(depth)
+        pairs += dist[source + 1:]
     diam = max(ecc)
     boundary = tuple(v for v, e in enumerate(ecc) if e == diam)
     # the lowest boundary vertex u starts the first diametral pair, and its
     # first partner v is above u, since a partner is a boundary vertex too
     u = boundary[0]
-    # column v of the boundary rows holds d(b, v) for every b in B
-    to_boundary = list(map(min, zip(*(rows[b] for b in boundary))))
-    r_ecc = max(to_boundary)
-    pair_dists = tuple(chain.from_iterable(row[v + 1:] for v, row in enumerate(rows)))
+    if len(boundary) == n:
+        # B = V: every vertex is at distance 0 from B.  B never has fewer
+        # than two vertices, both ends of a diametral pair.
+        r_ecc = z = 0
+    else:
+        # column v of the boundary rows holds d(b, v) for every b in B
+        to_boundary = list(map(min, *(rows[b] for b in boundary)))
+        r_ecc = max(to_boundary)
+        z = to_boundary.index(r_ecc)
+    pair_dists = tuple(pairs)
     return DistanceMatrix(
-        d=rows,
+        d=tuple(rows),
         diam=diam,
         wiener=sum(pair_dists),
         pair_dists=pair_dists,
         diametral_pair=(u, rows[u].index(diam)),
-        boundary_info=BoundaryInfo(boundary, r_ecc, to_boundary.index(r_ecc)),
+        boundary_info=BoundaryInfo(boundary, r_ecc, z),
     )
 
 

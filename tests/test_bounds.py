@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -31,7 +32,7 @@ from domdist.bounds import (
 from domdist.distance import all_pairs_distances
 from domdist.domination import gamma_bruteforce_oracle
 from domdist.errors import BadR
-from domdist.graphs import Graph, parse_graph6
+from domdist.graphs import Graph, encode_graph6, parse_graph6
 
 import corpusgen
 from conftest import connected_graphs
@@ -321,37 +322,71 @@ class TestEveryPackedTableAboveSeven:
             assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), g
 
 
+# every cache of bounds.py: none is filled by importing the package
+_CACHES = ("_packed_table", "_frac_jsonl", "_ints_jsonl")
+
+
 class TestPackedTableCache:
     def test_empty_after_import(self):
         src = str(Path(bounds.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         code = ("import domdist\n"
-                "print(domdist.bounds._packed_fields.cache_info().currsize)")
+                f"for name in {_CACHES!r}:\n"
+                "    print(getattr(domdist.bounds, name).cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0"
+        assert done.stdout.split() == ["0"] * len(_CACHES)
 
     def test_bounded(self):
-        """Under _packed_fields' bound: all 59 tables that _packs admits,
-        every one with n <= 18, take under 1e6 bytes together."""
+        """Under _packed_table's bound: the tables of the 16 orders that
+        pack, which hold all 59 pairs (n, r) that _packs admits, every one
+        with n <= 18, take under 1e6 bytes together."""
         # r < n packs only up to n = 64, as C(n, r) >= n there, and r = n
         # only up to n = 11, where a sum of W(P_n) = (n^3-n)/6 fits a byte
         assert not _packs(65, 64) and not _packs(12, 12)
         pairs = [(n, r) for n in range(3, 65) for r in range(3, n + 1) if _packs(n, r)]
         assert len(pairs) == 59 and max(n for n, _ in pairs) == 18
-        bounds._packed_fields.cache_clear()
+        orders = sorted({n for n, _ in pairs})
+        assert orders == list(range(3, 19))
+        bounds._packed_table.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
-            for n, r in pairs:
-                bounds._packed_fields(n, r)
+            for n in orders:
+                fields, spans, size = bounds._packed_table(n)
+                rs = [r for m, r in pairs if m == n]
+                assert list(spans) == rs and len(fields) == math.comb(n, 2)
+                assert [s.stop - s.start for s in spans.values()] == [math.comb(n, r) for r in rs]
+                assert size == sum(math.comb(n, r) for r in rs)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-            bounds._packed_fields.cache_clear()
+            bounds._packed_table.cache_clear()
         assert held < 1e6
+
+    def test_jsonl_memos_keep_at_most_their_bound(self):
+        """More distinct fractions and int lists than a memo keeps: every
+        string stays right, evicted ones too, and no memo grows past its
+        bound."""
+        size = bounds.JSONL_MEMO_SIZE
+        memos = (bounds._frac_jsonl, bounds._ints_jsonl)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            for _ in range(2):  # the second round finds the first values evicted
+                for k in range(size + 100):
+                    f = Fraction(k, 2 * size + 2)
+                    assert bounds._frac_jsonl(k, 2 * size + 2) == json.dumps(
+                        {"den": f.denominator, "num": f.numerator}, separators=(",", ":"))
+                    xs = tuple(range(k % 7)) + (k,)
+                    assert bounds._ints_jsonl(xs) == json.dumps(list(xs), separators=(",", ":"))
+                for memo in memos:
+                    assert memo.cache_info().currsize == memo.cache_info().maxsize == size
+        finally:
+            for memo in memos:
+                memo.cache_clear()
 
 
 class TestIntegerChecks:
@@ -535,6 +570,74 @@ class TestAssembleReport:
             if not c.skipped:
                 assert c.value <= rep.gamma
                 assert c.slack >= 0
+
+
+class TestHashableReports:
+    def test_separate_reports_are_equal_and_hash_equal(self, corpus):
+        for n in range(2, 7):
+            for g in corpus(n):
+                token = encode_graph6(g)
+                a = assemble_report(parse_graph6(token))
+                b = assemble_report(parse_graph6(token))
+                assert a == b and hash(a) == hash(b)
+                assert list(map(hash, a.checks)) == list(map(hash, b.checks))
+
+    def test_detail_is_compared_but_not_hashed(self):
+        c = assemble_report(star_graph(3)).checks[0]
+        other = replace(c, detail={**c.detail, "margin": c.detail["margin"] + 1})
+        assert c != other and hash(c) == hash(other)
+
+
+def _scanned(build):
+    """build() with _packs false for every (n, r), so every sum is scanned."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_packs", lambda n, r: False)
+        return build()
+
+
+def _packed_equals_scanned(tokens):
+    def lines():
+        return [assemble_report(parse_graph6(t), graph_id=t).jsonl_line() for t in tokens]
+
+    packed = lines()
+    assert packed == _scanned(lines)
+
+
+class TestPackedAgainstScanned:
+    """The packed product and the scans give byte-identical reports: the
+    same maxima, first witnesses and equality triples."""
+
+    def test_every_fixture_graph_up_to_seven(self):
+        for n in range(2, 8):
+            _packed_equals_scanned(corpusgen.corpus_path(n).read_text(encoding="ascii").split())
+
+    def test_seeded_slice_of_order_eight(self):
+        tokens = corpusgen.corpus_path(8).read_text(encoding="ascii").split()
+        _packed_equals_scanned(random.Random(19).sample(tokens, 500))
+
+    @given(connected_graphs(2, 11))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_up_to_eleven(self, g):
+        _packed_equals_scanned([encode_graph6(g)])
+        dm = _dm(g)
+        for gamma in range(1, 5):
+            assert triple_equality_analysis(gamma, dm) == _scanned(
+                lambda: triple_equality_analysis(gamma, _dm(g)))
+
+    @pytest.mark.parametrize("g, gamma, count", [
+        (spider(1, 1, 1, 1, 1), 1, 10),  # K_{1,5}: every leaf triple
+        (spider(4, 4, 4), 4, 1),
+        (path_graph(18), 6, 0),  # n = 18, the last order where r = 3 packs
+        (cycle_graph(6), 2, 0),  # 6*gamma = 12 > 3*diam = 9: the early return
+        (complete_graph(4), 1, 0),  # 6 > 3: the early return
+    ], ids=["K15", "spider444", "P18", "C6", "K4"])
+    def test_equality_triples_from_the_bytes(self, g, gamma, count):
+        assert _packs(g.n, 3)
+        assert gamma_bruteforce_oracle(g).gamma == gamma
+        found = triple_equality_analysis(gamma, _dm(g))
+        assert len(found) == count
+        assert found == _scanned(lambda: triple_equality_analysis(gamma, _dm(g)))
+        assert all(sum(t.dists) == 6 * gamma for t in found)
 
 
 def _frac_json(f: Fraction) -> dict:

@@ -3,6 +3,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from domdist import harness
 from domdist.errors import GraphInputError, InvalidGraph6, UnknownBound
 from domdist.graphs import encode_graph6
 from domdist.harness import (
@@ -15,6 +16,7 @@ from domdist.harness import (
 
 import corpusgen
 from graphutil import star_graph, to_networkx
+from perfbench.tracer import traced_domdist
 
 
 @pytest.fixture
@@ -88,6 +90,20 @@ class TestRunCorpusVerify:
         run_corpus_verify(n4_corpus, jsonl_path=str(out2))
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 6
+
+    def test_every_report_layer_is_traced_once_per_graph(self, tmp_path):
+        """The benchmark's per-layer metrics read the spans of these names;
+        a report path that bypasses one would turn its metric to 0."""
+        with traced_domdist() as tracer:
+            summary = harness.run_corpus_verify(
+                str(corpusgen.corpus_path(6)), jsonl_path=str(tmp_path / "out.jsonl"))
+        assert summary.graphs_processed == 112
+        stats = tracer.layer_stats()
+        for name in ("distance.apsp", "bounds.diameter", "bounds.triple",
+                     "bounds.r_subset.r4", "bounds.r_subset.r5", "bounds.triple_equality",
+                     "bounds.average_distance", "bounds.boundary_ecc", "bounds.jsonl"):
+            assert stats[name].calls == 112, name
+        assert stats["harness.verify"].calls == 1
 
 
 class TestIterCorpus:
