@@ -21,10 +21,9 @@ the subsets in that order.  One product per graph packs the sums of every
 r that packs at its order: the pair distances DistanceMatrix.pair_dists
 times a cached table per order n, laid out r by r in that order.  It is
 computed on first use and kept on the DistanceMatrix, the way gamma is
-kept on its Graph, so the triple bound, every packed r-subset bound and
-triple_equality_analysis read the same bytes: the equality triples are
-the r = 3 bytes equal to 6*gamma, found with bytes.find.  Where r = 3 does
-not pack, the triples are scanned.
+kept on its Graph, so the triple bound and every packed r-subset bound
+read the same bytes.  triple_equality_analysis scans the triples for
+those that attain 6*gamma, and only when 6*gamma <= 3*diam.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, one f-string per check, with the
@@ -41,7 +40,7 @@ from functools import cache, lru_cache
 from itertools import combinations, islice, starmap
 from json.encoder import encode_basestring_ascii  # what json.dumps(s) does for a str s
 from operator import add, and_, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .distance import DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
@@ -172,8 +171,8 @@ def _packed_sums(dm: DistanceMatrix, r: int) -> bytes:
     One product per DistanceMatrix gives the sums of every packed r at
     once: byte f of sum(d(p) * fields[p]) over the vertex pairs p, with the
     table of _packed_table(n), is the sum of the subset at byte f.  It is
-    kept on the matrix, so the triple bound, each r-subset bound and the
-    equality triples of one graph read the same bytes.
+    kept on the matrix, so the triple bound and each r-subset bound of one
+    graph read the same bytes.
     """
     fields, spans, size = _packed_table(dm.n)
     sums = dm._packed_sums
@@ -256,43 +255,18 @@ def best_triple_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
 
 
 def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEquality, ...]:
-    """Every triple attaining 6*gamma, each distance checked for = 2 (mod 3).
+    """Every triple attaining 6*gamma, in lexicographic order, each distance
+    checked for = 2 (mod 3).
 
-    Where _packs(n, 3) the triples are the bytes of the packed r = 3 sums
-    that equal 6*gamma; elsewhere every triple is scanned.  A witness with a
-    distance not congruent to 2 mod 3 contradicts the equality corollary
-    and is treated as fatal by report assembly.
+    A witness with a distance not congruent to 2 mod 3 contradicts the
+    equality corollary and is treated as fatal by report assembly.
     """
     target = 6 * gamma
     if target > 3 * dm.diam:
         return ()  # each of a triple's three distances is at most diam
     n = dm.n
     d = dm.d
-    if _packs(n, 3):
-        triples = _triples_at(_packed_sums(dm, 3), n, target)
-    else:
-        triples = _scan_triples(d, target)
     found = []
-    for i, j, k in triples:
-        dists = (d[i][j], d[i][k], d[j][k])
-        found.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
-    return tuple(found)
-
-
-def _triples_at(sums: bytes, n: int, target: int) -> Iterator[tuple[int, int, int]]:
-    """The triples whose packed sum is target, in lexicographic order."""
-    triples = combinations(range(n), 3)
-    taken = 0  # triples consumed so far
-    at = sums.find(target)
-    while at >= 0:
-        yield next(islice(triples, at - taken, None))
-        taken = at + 1
-        at = sums.find(target, taken)
-
-
-def _scan_triples(d: tuple[tuple[int, ...], ...], target: int) -> Iterator[tuple[int, int, int]]:
-    """The triples whose pair-distance sum is target, in lexicographic order."""
-    n = len(d)
     for i in range(n - 2):
         di = d[i]
         for j in range(i + 1, n - 1):
@@ -300,7 +274,9 @@ def _scan_triples(d: tuple[tuple[int, ...], ...], target: int) -> Iterator[tuple
             need = target - di[j]
             for k in range(j + 1, n):
                 if di[k] + dj[k] == need:
-                    yield i, j, k
+                    dists = (di[j], di[k], dj[k])
+                    found.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
+    return tuple(found)
 
 
 def r_subset_lb(gamma: int, dm: DistanceMatrix, r: int) -> BoundCheck:
@@ -482,14 +458,15 @@ def assemble_report(
         else:
             checks.append(r_subset_lb(gamma, dm, r))
     checks.append(average_distance_lb(gamma, dm))
-    checks.append(boundary_ecc_lb(gamma, dm))
+    boundary = boundary_ecc_lb(gamma, dm)
+    checks.append(boundary)
 
     equalities = triple_equality_analysis(gamma, dm)
 
     violations = [c.name for c in checks if c.holds is False]
     if any(not t.mod3_ok for t in equalities):
         violations.append(VIOLATION_TRIPLE_MOD3)
-    spade = checks[-1].detail["spade"]
+    spade = boundary.detail["spade"]
     if spade is not None and not spade["ok"]:
         violations.append(VIOLATION_SPADE)
 

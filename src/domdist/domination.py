@@ -3,18 +3,20 @@
 Closed neighborhoods are fixed-width bit masks over the vertices, so a
 domination test is a mask union.  gamma_exact runs a branch-and-bound on the
 set-cover formulation, pruned only by a counting bound;
-gamma_bruteforce_oracle enumerates subsets by increasing size and shares no
-code with the solver beyond the masks, which keeps it useful as an
-independent check.  The masks are the Graph itself (Graph.closed_masks), and
-gamma_exact keeps its result on the Graph, so every caller that asks for the
-gamma of one Graph shares one solve; the oracle never reads that result.
+gamma_bruteforce_oracle enumerates subsets by increasing size.  The oracle
+shares its subset loop, _dominating_sets, only with
+enumerate_min_dominating_sets, and nothing but the masks with the solver,
+which keeps it useful as an independent check.  The masks are the Graph
+itself (Graph.closed_masks), and gamma_exact keeps its result on the Graph,
+so every caller that asks for the gamma of one Graph shares one solve; the
+oracle never reads that result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph
@@ -31,7 +33,7 @@ class DominationResult:
 
 
 def closed_neighborhood_masks(g: Graph) -> tuple[int, ...]:
-    """Bit mask of N[v] for every vertex v, shared by every caller for g."""
+    """Bit mask of N[v] for every vertex v: the public name of g.closed_masks."""
     return g.closed_masks
 
 
@@ -39,7 +41,7 @@ def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff the closed neighborhoods of s cover every vertex."""
     vertices = list(s)
     g.check_vertices(vertices)
-    masks = closed_neighborhood_masks(g)
+    masks = g.closed_masks
     covered = 0
     for v in vertices:
         covered |= masks[v]
@@ -83,7 +85,7 @@ def gamma_exact(g: Graph) -> DominationResult:
 
 def _branch_and_bound(g: Graph) -> DominationResult:
     n = g.n
-    masks = closed_neighborhood_masks(g)
+    masks = g.closed_masks
     full = (1 << n) - 1
 
     greedy = _greedy_cover(n, masks, full)
@@ -118,6 +120,18 @@ def _branch_and_bound(g: Graph) -> DominationResult:
     return DominationResult(gamma=best_size, witness=best_set)
 
 
+def _dominating_sets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The dominating k-sets of g, in itertools.combinations order."""
+    masks = g.closed_masks
+    full = (1 << g.n) - 1
+    for combo in combinations(range(g.n), k):
+        covered = 0
+        for v in combo:
+            covered |= masks[v]
+        if covered == full:
+            yield combo
+
+
 def gamma_bruteforce_oracle(g: Graph) -> DominationResult:
     """Exhaustive subset search in increasing size order.
 
@@ -126,15 +140,9 @@ def gamma_bruteforce_oracle(g: Graph) -> DominationResult:
     """
     if g.n > ENUMERATION_CAP:
         raise TooLarge(f"n={g.n} exceeds enumeration cap {ENUMERATION_CAP}")
-    masks = closed_neighborhood_masks(g)
-    full = (1 << g.n) - 1
     for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            covered = 0
-            for v in combo:
-                covered |= masks[v]
-            if covered == full:
-                return DominationResult(gamma=k, witness=combo)
+        for witness in _dominating_sets(g, k):
+            return DominationResult(gamma=k, witness=witness)
     raise AssertionError("the full vertex set always dominates")
 
 
@@ -142,14 +150,4 @@ def enumerate_min_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
     """All dominating sets of size exactly gamma, in lexicographic order."""
     if g.n > ENUMERATION_CAP:
         raise TooLarge(f"n={g.n} exceeds enumeration cap {ENUMERATION_CAP}")
-    gamma = gamma_exact(g).gamma
-    masks = closed_neighborhood_masks(g)
-    full = (1 << g.n) - 1
-    found = []
-    for combo in combinations(range(g.n), gamma):
-        covered = 0
-        for v in combo:
-            covered |= masks[v]
-        if covered == full:
-            found.append(combo)
-    return found
+    return list(_dominating_sets(g, gamma_exact(g).gamma))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from domdist.domination import (
+    DominationResult,
     enumerate_min_dominating_sets,
     gamma_bruteforce_oracle,
     gamma_exact,
@@ -156,6 +157,16 @@ class TestEnumerateMinSets:
     def test_too_large_guard(self):
         with pytest.raises(TooLarge):
             enumerate_min_dominating_sets(path_graph(21))
+
+    def test_every_min_set_on_every_graph_up_to_seven(self, corpus):
+        # the enumerator and the oracle share one subset loop: both against
+        # a plain scan of the gamma-subsets through is_dominating_set
+        for n in range(2, 8):
+            for g in corpus(n):
+                gamma = gamma_exact(g).gamma
+                expected = [c for c in combinations(range(n), gamma) if is_dominating_set(g, c)]
+                assert enumerate_min_dominating_sets(g) == expected
+                assert gamma_bruteforce_oracle(g) == DominationResult(gamma, expected[0])
 
 
 class TestSolverAgainstOracle:
