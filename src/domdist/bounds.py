@@ -28,19 +28,24 @@ those that attain 6*gamma, and only when 6*gamma <= 3*diam.
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, one f-string per check, with the
 reduced fractions and the small int lists memoised in bounded caches.
+
+BoundCheck, TripleEquality and BoundReport are named tuples, the records
+every report builds per graph: immutable, updated with _replace, equal to
+a plain tuple of the same fields, and hashable.  BoundCheck's hash leaves
+out its detail dict, which equality still compares; detail is a required
+field, so no two checks share one dict.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, islice, starmap
 from json.encoder import encode_basestring_ascii  # what json.dumps(s) does for a str s
 from operator import add, and_, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .distance import DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
@@ -69,8 +74,7 @@ def r_subset_bound_name(r: int) -> str:
     return f"{_R_SUBSET}{r}"
 
 
-@dataclass(frozen=True, slots=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One lower-bound check gamma >= num/den, decided as margin >= 0 where
     margin = den*gamma - num, with its witness; num is None when skipped."""
 
@@ -79,9 +83,13 @@ class BoundCheck:
     den: int
     margin: int | None
     witness: tuple[int, ...]
-    # a dict cannot be hashed; equality still compares it
-    detail: dict = field(default_factory=dict, hash=False)
+    detail: dict
     skipped_reason: str | None = None
+
+    def __hash__(self) -> int:
+        # a dict cannot be hashed, so detail is left out; equality still compares it
+        return hash((self.name, self.num, self.den, self.margin, self.witness,
+                     self.skipped_reason))
 
     @property
     def skipped(self) -> bool:
@@ -104,8 +112,7 @@ class BoundCheck:
         return self.margin == 0
 
 
-@dataclass(frozen=True)
-class TripleEquality:
+class TripleEquality(NamedTuple):
     """A vertex triple attaining 6*gamma, with its pairwise distances mod 3."""
 
     triple: tuple[int, int, int]
@@ -114,7 +121,7 @@ class TripleEquality:
 
 
 def _skipped(name: str, reason: str) -> BoundCheck:
-    return BoundCheck(name, None, 1, None, (), skipped_reason=reason)
+    return BoundCheck(name, None, 1, None, (), {}, reason)
 
 
 def _check(name: str, gamma: int, num: int, den: int,
@@ -135,6 +142,7 @@ def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     )
 
 
+@cache
 def _packs(n: int, r: int) -> bool:
     """Whether _max_pair_sum packs the r-subset sums of order n: iff
     C(n, 2)*C(n, r) <= PACKED_LIMIT and every sum fits one byte.
@@ -143,6 +151,10 @@ def _packs(n: int, r: int) -> bool:
     n-1, and at most W(P_n) = (n^3-n)/6, the largest Wiener index of a
     connected graph of order n; the latter is at most 255 iff n <= 11.
     59 pairs (n, r) pack, all with n <= 18.
+
+    The answer depends on (n, r) alone, so it is cached: one bool per pair
+    a process meets, with r <= n.  Callers look it up through the module,
+    so a test can replace it.
     """
     return (math.comb(n, 2) * math.comb(n, r) <= PACKED_LIMIT
             and ((n ** 3 - n) // 6 <= 255 or math.comb(r, 2) * (n - 1) <= 255))
@@ -333,8 +345,7 @@ def boundary_ecc_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     return _check(BOUND_BOUNDARY_ECC, gamma, r_ecc + 1, 2, (bi.witness,), detail)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything verified about one graph: gamma, all checks, equality
     triples, and violations: the name of every failure, in check order."""
 
@@ -364,16 +375,16 @@ class BoundReport:
         tests hold it to, one f-string per check.  The skip reasons go
         through json.dumps and the graph id through the escape json.dumps
         uses for a str, so their escaping is the same; every other string is
-        one of this module's ASCII constants.
+        one of this module's ASCII constants.  Each record is unpacked in
+        field order, which costs less than reading its fields one by one.
         """
+        graph6, n, gamma, gamma_witness, checks, triple_equalities, violations = self
         bounds = []
-        for c in self.checks:
-            name, num = c.name, c.num
+        for name, num, den, margin, witness, d, skipped_reason in checks:
             if num is None:
-                bounds.append(f'{{"bound":"{name}","reason":{json.dumps(c.skipped_reason)},'
+                bounds.append(f'{{"bound":"{name}","reason":{json.dumps(skipped_reason)},'
                               f'"skipped":true}}')
                 continue
-            d, den, margin = c.detail, c.den, c.margin
             if name == BOUND_DIAMETER:
                 detail = f'{{"diam":{d["diam"]},"margin":{d["margin"]}}}'
             elif name == BOUND_TRIPLE:
@@ -396,17 +407,17 @@ class BoundReport:
                 f'"equality":{"true" if margin == 0 else "false"},'
                 f'"holds":{"true" if margin >= 0 else "false"},'
                 f'"skipped":false,"slack":{_frac_jsonl(margin, den)},'
-                f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(c.witness)}}}'
+                f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(witness)}}}'
             )
         triples = ",".join(
-            f'{{"dists":{_ints_jsonl(t.dists)},"mod3_ok":{"true" if t.mod3_ok else "false"},'
-            f'"triple":{_ints_jsonl(t.triple)}}}'
-            for t in self.triple_equalities
+            f'{{"dists":{_ints_jsonl(dists)},"mod3_ok":{"true" if mod3_ok else "false"},'
+            f'"triple":{_ints_jsonl(triple)}}}'
+            for triple, dists, mod3_ok in triple_equalities
         )
         return (
-            f'{{"bounds":[{",".join(bounds)}],"fatal":{"true" if self.fatal else "false"},'
-            f'"gamma":{self.gamma},"gamma_witness":{_ints_jsonl(self.gamma_witness)},'
-            f'"graph":{encode_basestring_ascii(self.graph6)},"n":{self.n},'
+            f'{{"bounds":[{",".join(bounds)}],"fatal":{"true" if violations else "false"},'
+            f'"gamma":{gamma},"gamma_witness":{_ints_jsonl(gamma_witness)},'
+            f'"graph":{encode_basestring_ascii(graph6)},"n":{n},'
             f'"triple_equalities":[{triples}]}}'
         )
 

@@ -10,10 +10,10 @@ that verify would skip (n > 62 included) makes them exit 2.
 Exit codes: 0 success, 1 theorem violation or failed verification, 2 usage
 or input error.  verify and tight skip malformed corpus entries and count
 them (verify on stdout, tight on stderr, so its stdout stays one token per
-line); verify --strict exits 2 on the first one instead, and verify exits 2
-on a --jsonl file that is the corpus itself.  Both print the number of
-checks skipped for budget as "budget-skipped: N" on stderr when it is not
-zero.
+line); verify --strict exits 2 on the first one instead.  verify and
+analyze exit 2 on a --jsonl file that is their input file, and leave it
+as it was.  verify and tight print the number of checks skipped for
+budget as "budget-skipped: N" on stderr when it is not zero.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _print_report(report: BoundReport) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    if (args.jsonl and os.path.exists(args.jsonl) and os.path.exists(args.graph)
+            and os.path.samefile(args.graph, args.jsonl)):
+        raise FileExistsError(f"JSONL sidecar {args.jsonl} is the graph file itself")
     g = _load_single_graph(args.graph, args.format)
     report = assemble_report(g, rs=args.r)
     _print_report(report)

@@ -143,13 +143,15 @@ def run_corpus_verify(
             if item.fatal:
                 summary.violations += 1
                 summary.violation_details.extend((token, v) for v in item.violations)
+            # the fields the skipped and equality properties read, without
+            # a property call per check of every graph
             for c in item.checks:
-                if c.skipped:
+                if c.num is None:
                     if c.skipped_reason == "budget":
                         summary.budget_skipped += 1
                     continue
                 summary.equality_counts.setdefault(c.name, 0)
-                if c.equality:
+                if c.margin == 0:
                     summary.equality_counts[c.name] += 1
             if jsonl is not None:
                 jsonl.write(item.jsonl_line() + "\n")

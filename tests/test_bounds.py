@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -343,7 +342,7 @@ class TestEveryPackedTableAboveSeven:
 
 
 # every cache of bounds.py: none is filled by importing the package
-_CACHES = ("_packed_table", "_frac_jsonl", "_ints_jsonl")
+_CACHES = ("_packed_table", "_packs", "_frac_jsonl", "_ints_jsonl")
 
 
 class TestPackedTableCache:
@@ -601,11 +600,33 @@ class TestHashableReports:
                 b = assemble_report(parse_graph6(token))
                 assert a == b and hash(a) == hash(b)
                 assert list(map(hash, a.checks)) == list(map(hash, b.checks))
+                assert (list(map(hash, a.triple_equalities))
+                        == list(map(hash, b.triple_equalities)))
+                bi_a = _dm(parse_graph6(token)).boundary_info
+                bi_b = _dm(parse_graph6(token)).boundary_info
+                assert bi_a == bi_b and hash(bi_a) == hash(bi_b)
 
     def test_detail_is_compared_but_not_hashed(self):
         c = assemble_report(star_graph(3)).checks[0]
-        other = replace(c, detail={**c.detail, "margin": c.detail["margin"] + 1})
+        other = c._replace(detail={**c.detail, "margin": c.detail["margin"] + 1})
         assert c != other and hash(c) == hash(other)
+
+    def test_fields_cannot_be_assigned(self):
+        g = star_graph(3)  # its leaf triple attains 6*gamma
+        report = assemble_report(g)
+        records = [(report, "gamma"), (report.checks[0], "margin"),
+                   (report.triple_equalities[0], "mod3_ok"),
+                   (_dm(g).boundary_info, "witness")]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_skipped_checks_never_share_a_detail(self):
+        # K2: the triple check and every r-subset check are skipped
+        skipped = [c for c in assemble_report(complete_graph(2)).checks if c.skipped]
+        assert len(skipped) == 4
+        assert all(c.detail == {} for c in skipped)
+        assert len({id(c.detail) for c in skipped}) == len(skipped)
 
 
 def _scanned(build):

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +42,15 @@ class TestAnalyze:
         record = json.loads(out_path.read_text())
         assert record["graph"] == "Ch"
         assert record["gamma"] == 2
+
+    def test_jsonl_naming_the_graph_file_exits_2_and_keeps_it(self, tmp_path, capsys):
+        graph = tmp_path / "g.g6"
+        graph.write_bytes(b"Ch\n")
+        sidecar = os.path.join(tmp_path, ".", "g.g6")  # another spelling of the same file
+        assert main(["analyze", str(graph), "--jsonl", sidecar]) == 2
+        assert "is the graph file itself" in capsys.readouterr().err
+        assert graph.read_bytes() == b"Ch\n"
+        assert main(["analyze", str(graph)]) == 0
 
     def test_bad_graph_exits_2(self, capsys):
         assert main(["analyze", "A?"]) == 2
@@ -241,7 +249,7 @@ class TestVerify:
             spade = c.detail["spade"]
             if spade is None:
                 return c
-            return dataclasses.replace(c, detail=c.detail | {"spade": spade | {"ok": False}})
+            return c._replace(detail=c.detail | {"spade": spade | {"ok": False}})
 
         monkeypatch.setattr(bounds, "boundary_ecc_lb", failing_spade)
         assert main(["verify", str(corpusgen.corpus_path(5))]) == 1

@@ -174,6 +174,19 @@ class TestDistanceSummary:
             for g in corpus(n):
                 _summary_matches_scans(g)
 
+    def test_every_graph_of_order_eight(self, corpus):
+        for g in corpus(8):
+            _summary_matches_scans(g)
+
+    @pytest.mark.parametrize("g, boundary, r_ecc, z", [
+        pytest.param(cycle_graph(5), (0, 1, 2, 3, 4), 0, 0, id="B=V"),
+        pytest.param(path_graph(6), (0, 5), 2, 2, id="two-vertex-B"),
+        pytest.param(spider(4, 4, 4), (4, 8, 12), 4, 0, id="spider-z-is-the-center"),
+    ])
+    def test_named_boundaries(self, g, boundary, r_ecc, z):
+        _summary_matches_scans(g)
+        assert all_pairs_distances(g).boundary_info == (boundary, r_ecc, z)
+
     @given(connected_graphs(max_n=12))
     def test_random_graphs(self, g):
         _summary_matches_scans(g)
