@@ -474,7 +474,8 @@ def assemble_report(
 
     equalities = triple_equality_analysis(gamma, dm)
 
-    violations = [c.name for c in checks if c.holds is False]
+    # the fields holds reads, without a property call per check
+    violations = [c.name for c in checks if c.num is not None and c.margin < 0]
     if any(not t.mod3_ok for t in equalities):
         violations.append(VIOLATION_TRIPLE_MOD3)
     spade = boundary.detail["spade"]

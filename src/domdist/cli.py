@@ -12,7 +12,8 @@ or input error.  verify and tight skip malformed corpus entries and count
 them (verify on stdout, tight on stderr, so its stdout stays one token per
 line); verify --strict exits 2 on the first one instead.  verify and
 analyze exit 2 on a --jsonl file that is their input file, and leave it
-as it was.  verify and tight print the number of checks skipped for
+as it was; verify exits 2 on a corpus it cannot open before it creates
+its --jsonl file.  verify and tight print the number of checks skipped for
 budget as "budget-skipped: N" on stderr when it is not zero.
 """
 

@@ -3,12 +3,11 @@
 all_pairs_distances builds only what the bounds read: the BFS rows, the
 pair distances in the layout of the packed r-subset tables, W(G), the
 first diametral pair, and the boundary with its set eccentricity.  Each
-eccentricity is the depth its BFS ends at.  When the boundary B is not
-every vertex, one more BFS, _set_ecc, starts from all of B at once: its
-last level is at distance ecc(B) from B, and its lowest vertex is the
-witness.  When B is every vertex, ecc(B) is 0 without a search.  The
-packed r-subset sums are kept on the matrix by the bounds module, once
-per matrix.
+eccentricity is the depth its BFS ends at.  The set eccentricity ecc(B)
+is the largest entry of the column minimum of the boundary rows, and its
+witness the lowest vertex holding it; when B is every vertex, ecc(B) is 0
+without a scan.  The packed r-subset sums are kept on the matrix by the
+bounds module, once per matrix.
 
 DistanceMatrix is a frozen dataclass, since the bounds module sets the
 packed sums on it after construction; BoundaryInfo is a named tuple.
@@ -61,38 +60,13 @@ class BoundaryInfo(NamedTuple):
     witness: int
 
 
-def _set_ecc(masks: tuple[int, ...], sources: int) -> tuple[int, int]:
-    """The set eccentricity of the vertices in the bit mask `sources`, and
-    the lowest vertex attaining it.
-
-    One BFS from all the sources at once, level by level as in
-    all_pairs_distances: the depth of the last level is the set
-    eccentricity, and that level holds every vertex attaining it.
-    """
-    seen = level = sources
-    depth = 0
-    while True:
-        last = level
-        reach = 0
-        while level:
-            low = level & -level
-            reach |= masks[low.bit_length() - 1]
-            level ^= low
-        level = reach & ~seen
-        if not level:
-            return depth, (last & -last).bit_length() - 1
-        depth += 1
-        seen |= level
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every source, then every invariant from the rows.
 
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
-    The loop is inline, since a call per source costs about what the
-    boundary search below saves.  Connectivity is guaranteed by Graph.
+    Connectivity is guaranteed by Graph.
     """
     masks = g.closed_masks
     n = g.n
@@ -129,7 +103,10 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         # than two vertices, both ends of a diametral pair.
         r_ecc = z = 0
     else:
-        r_ecc, z = _set_ecc(masks, sum(1 << b for b in boundary))
+        # column v of the boundary rows holds d(b, v) for every b in B
+        to_boundary = list(map(min, *(rows[b] for b in boundary)))
+        r_ecc = max(to_boundary)
+        z = to_boundary.index(r_ecc)
     pair_dists = tuple(pairs)
     return DistanceMatrix(
         d=tuple(rows),

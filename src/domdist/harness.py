@@ -2,7 +2,10 @@
 
 A corpus is a file of graph6 lines (one graph per line) or, with the
 edgelist format, blank-line-separated edge-list blocks.  iter_corpus is the
-one reader of graph files; every CLI command reads through it.  Reports are
+one reader of graph files; every CLI command reads through it, and
+run_corpus_verify and scan_tight_instances build each graph's report in
+their own loop over it.  Each looks iter_corpus up by its module-level name
+when called, so a caller may wrap it, say to time each entry.  Reports are
 produced in input order, so repeated runs over the same file are
 byte-identical.  Bytes that do not decode are read as surrogate escapes,
 which the parsers reject, so such an entry is malformed like any other.
@@ -21,7 +24,6 @@ from .bounds import (
     BOUND_BOUNDARY_ECC,
     BOUND_DIAMETER,
     BOUND_TRIPLE,
-    BoundReport,
     DEFAULT_RS,
     assemble_report,
     r_subset_bound_name,
@@ -107,45 +109,42 @@ def iter_corpus(path: str, fmt: str = FORMAT_GRAPH6) -> Iterator[tuple[int, str,
         raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _corpus_reports(path: str, fmt: str, rs: tuple[int, ...],
-                    strict: bool) -> Iterator[tuple[int, str, BoundReport | GraphInputError]]:
-    for lineno, token, item in iter_corpus(path, fmt):
-        if isinstance(item, GraphInputError):
-            if strict:
-                raise item
-            yield lineno, token, item
-            continue
-        yield lineno, token, assemble_report(item, rs=rs, graph_id=token)
-
-
 def run_corpus_verify(
     path: str, *, fmt: str = FORMAT_GRAPH6, rs: tuple[int, ...] = DEFAULT_RS,
     strict: bool = False, jsonl_path: str | None = None,
 ) -> CorpusSummary:
     """Analyze every corpus graph, tally equalities, and count bound violations.
 
-    In strict mode a malformed entry aborts the run by raising; otherwise it
-    is counted as skipped and recorded in summary.errors.  A jsonl_path that
-    names the corpus itself raises FileExistsError before either is opened.
+    In strict mode a malformed entry aborts the run by raising, after the
+    reports before it are written; otherwise it is counted as skipped and
+    recorded in summary.errors.  A corpus that cannot be opened raises
+    before the jsonl_path sidecar is created, and a jsonl_path that names
+    the corpus itself raises FileExistsError before either is opened.
     """
-    if jsonl_path and os.path.exists(jsonl_path) and os.path.samefile(path, jsonl_path):
-        raise FileExistsError(f"JSONL sidecar {jsonl_path} is the corpus itself")
+    if jsonl_path:
+        if os.path.exists(jsonl_path) and os.path.samefile(path, jsonl_path):
+            raise FileExistsError(f"JSONL sidecar {jsonl_path} is the corpus itself")
+        # a corpus that cannot be read raises here, before the sidecar exists
+        open(path, "rb").close()
     summary = CorpusSummary()
     start = time.perf_counter()
     jsonl = open(jsonl_path, "w", encoding="ascii") if jsonl_path else None
     try:
-        for lineno, token, item in _corpus_reports(path, fmt, rs, strict):
-            if isinstance(item, GraphInputError):
+        for lineno, token, graph in iter_corpus(path, fmt):
+            if isinstance(graph, GraphInputError):
+                if strict:
+                    raise graph
                 summary.skipped += 1
-                summary.errors.append((lineno, f"{type(item).__name__}: {item}"))
+                summary.errors.append((lineno, f"{type(graph).__name__}: {graph}"))
                 continue
+            report = assemble_report(graph, rs=rs, graph_id=token)
             summary.graphs_processed += 1
-            if item.fatal:
+            if report.fatal:
                 summary.violations += 1
-                summary.violation_details.extend((token, v) for v in item.violations)
+                summary.violation_details.extend((token, v) for v in report.violations)
             # the fields the skipped and equality properties read, without
             # a property call per check of every graph
-            for c in item.checks:
+            for c in report.checks:
                 if c.num is None:
                     if c.skipped_reason == "budget":
                         summary.budget_skipped += 1
@@ -154,7 +153,7 @@ def run_corpus_verify(
                 if c.margin == 0:
                     summary.equality_counts[c.name] += 1
             if jsonl is not None:
-                jsonl.write(item.jsonl_line() + "\n")
+                jsonl.write(report.jsonl_line() + "\n")
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -198,11 +197,11 @@ def scan_tight_instances(
     rs = (int(name.split(":")[1]),) if name.startswith("r-subset:") else ()
     tight: list[str] = []
     skipped = budget_skipped = 0
-    for _, token, item in _corpus_reports(path, fmt, rs, strict=False):
-        if isinstance(item, GraphInputError):
+    for _, token, graph in iter_corpus(path, fmt):
+        if isinstance(graph, GraphInputError):
             skipped += 1
             continue
-        check = item.check(name)
+        check = assemble_report(graph, rs=rs, graph_id=token).check(name)
         if check.equality:
             tight.append(token)
         elif check.skipped_reason == "budget":

@@ -7,15 +7,11 @@ leaf extension of the order-7 atlas plus isomorphism dedup for order 8).
 Known class counts act as the enumeration oracle: any canonicalization bug
 shows up as a count mismatch.
 
-Set DOMDIST_CORPUS_DIR to a directory of externally produced files named
-connected_n<N>.g6 (e.g. nauty geng output) to use those instead.
-
 Run directly to regenerate everything: python3 tests/corpusgen.py
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import networkx as nx
@@ -95,11 +91,6 @@ def _write_corpus(path: Path, lines: list[str]) -> None:
 
 def corpus_path(n: int) -> Path:
     """Path of the order-n corpus, generating and caching it if needed."""
-    override = os.environ.get("DOMDIST_CORPUS_DIR")
-    if override:
-        candidate = Path(override) / f"connected_n{n}.g6"
-        if candidate.exists():
-            return candidate
     path = DATA_DIR / f"connected_n{n}.g6"
     if not path.exists():
         _write_corpus(path, corpus_lines(n))

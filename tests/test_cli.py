@@ -195,6 +195,27 @@ class TestVerify:
         corpus.write_text("Bw\nA?\n")
         assert main(["verify", str(corpus), "--strict"]) == 2
 
+    def test_strict_jsonl_keeps_the_reports_before_the_bad_line(self, tmp_path, capsys):
+        good = tmp_path / "good.g6"
+        good.write_text("Bw\n")
+        expected = tmp_path / "expected.jsonl"
+        assert main(["verify", str(good), "--jsonl", str(expected)]) == 0
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bw\n!!!notgraph6\nCs\n")
+        out_path = tmp_path / "out.jsonl"
+        assert main(["verify", str(corpus), "--strict", "--jsonl", str(out_path)]) == 2
+        assert out_path.read_bytes() == expected.read_bytes()
+        assert len(expected.read_bytes().splitlines()) == 1
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_corpus_exits_2_without_a_sidecar(self, make, tmp_path, capsys):
+        corpus = tmp_path / "corpus.g6"
+        make(corpus)
+        out_path = tmp_path / "out.jsonl"
+        assert main(["verify", str(corpus), "--jsonl", str(out_path)]) == 2
+        assert not out_path.exists()
+
     def test_undecodable_line_is_skipped(self, tmp_path, capsys):
         corpus = tmp_path / "c.g6"
         corpus.write_bytes(b"Bw\n\xe9\xff\n")
