@@ -16,18 +16,23 @@ holds=None, so every holds=True is proved over all r-subsets.
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
 r-subsets and the first subset attaining it in itertools.combinations
 order, for the triple bound and every r.  Where _packs(n, r) holds it
-reads every subset's sum from one byte of one integer; elsewhere it scans
-the subsets in that order.  One product per graph packs the sums of every
-r that packs at its order: the pair distances DistanceMatrix.pair_dists
-times a cached table per order n, laid out r by r in that order.  It is
-computed on first use and kept on the DistanceMatrix, the way gamma is
-kept on its Graph, so the triple bound and every packed r-subset bound
-read the same bytes.  triple_equality_analysis scans the triples for
+reads every subset's sum from one byte of one integer, and the witness by
+its index into _subsets(n, r); elsewhere it scans the subsets in that
+order.  One product per graph packs the sums of every r that packs at its
+order: the pair distances DistanceMatrix.pair_dists times a cached table
+per order n, laid out r by r in that order.  It is computed on first use
+and kept on the DistanceMatrix, the way gamma is kept on its Graph, so the
+triple bound and every packed r-subset bound read the same bytes.  triple_equality_analysis scans the triples for
 those that attain 6*gamma, and only when 6*gamma <= 3*diam.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
-one line of sorted-key compact JSON, one f-string per check, with the
-reduced fractions and the small int lists memoised in bounded caches.
+one line of sorted-key compact JSON, with the reduced fractions, the small
+int lists and the check heads memoised in bounded caches.  A check's head
+is its text up to the witness; it is keyed on every value it prints, so
+the diameter, triple, r-subset and average-distance checks of many graphs
+share one string (281 distinct heads at n = 8, well under the
+JSONL_MEMO_SIZE the memo keeps).  The boundary-ecc check and skipped
+checks are written by one f-string each.
 
 BoundCheck, TripleEquality and BoundReport are named tuples, the records
 every report builds per graph: immutable, updated with _replace, equal to
@@ -42,7 +47,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, islice, starmap
+from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii  # what json.dumps(s) does for a str s
 from operator import add, and_, mul
 from typing import NamedTuple, Sequence
@@ -173,7 +178,19 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
         return _scan_pair_sums(dm.d, r)
     sums = _packed_sums(dm, r)
     best = max(sums)
-    return best, next(islice(combinations(range(n), r), sums.index(best), None))
+    return best, _subsets(n, r)[sums.index(best)]
+
+
+@cache
+def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Every r-subset of range(n) in itertools.combinations order, the
+    order of the packed sums' bytes.
+
+    Only _max_pair_sum's packed path calls it, so it keeps at most the 59
+    pairs (n, r) that _packs admits: 13,184 tuples, about 1.1 MB if a
+    process meets them all.
+    """
+    return tuple(combinations(range(n), r))
 
 
 def _packed_sums(dm: DistanceMatrix, r: int) -> bytes:
@@ -297,10 +314,11 @@ def r_subset_lb(gamma: int, dm: DistanceMatrix, r: int) -> BoundCheck:
     Every r-subset is scanned while C(n, r) <= DEFAULT_SUBSET_BUDGET.
     Beyond that the check is skipped with reason "budget" (holds=None): a
     bound is never reported as holding unless all r-subsets were scanned.
+    An r that is not an int raises BadR before any cache is keyed on it.
     """
     n = dm.n
-    if r < 3 or r > n:
-        raise BadR(f"r={r} outside 3..{n}")
+    if not isinstance(r, int) or not 3 <= r <= n:
+        raise BadR(f"r={r!r} is not an int in 3..{n}")
     if math.comb(n, r) > DEFAULT_SUBSET_BUDGET:
         return _skipped(r_subset_bound_name(r), "budget")
     s_r, subset = _max_pair_sum(dm, r)
@@ -372,11 +390,16 @@ class BoundReport(NamedTuple):
 
         Written directly in the key order and spacing of
         json.dumps(..., sort_keys=True, separators=(",", ":")), which the
-        tests hold it to, one f-string per check.  The skip reasons go
-        through json.dumps and the graph id through the escape json.dumps
-        uses for a str, so their escaping is the same; every other string is
-        one of this module's ASCII constants.  Each record is unpacked in
-        field order, which costs less than reading its fields one by one.
+        tests hold it to.  The diameter, triple, r-subset and
+        average-distance checks are each a memoised head (_head_jsonl,
+        keyed on every value it prints and holding up to JSONL_MEMO_SIZE
+        strings; 281 are needed at n = 8) followed by the witness; the
+        boundary-ecc check and skipped checks are one f-string each.  The
+        skip reasons go through json.dumps and the graph id through the
+        escape json.dumps uses for a str, so their escaping is the same;
+        every other string is one of this module's ASCII constants.  Each
+        record is unpacked in field order, which costs less than reading
+        its fields one by one.
         """
         graph6, n, gamma, gamma_witness, checks, triple_equalities, violations = self
         bounds = []
@@ -386,14 +409,14 @@ class BoundReport(NamedTuple):
                               f'"skipped":true}}')
                 continue
             if name == BOUND_DIAMETER:
-                detail = f'{{"diam":{d["diam"]},"margin":{d["margin"]}}}'
+                head = _head_jsonl(name, num, den, margin, d["diam"], d["margin"])
             elif name == BOUND_TRIPLE:
-                detail = f'{{"margin":{d["margin"]},"pair_sum":{d["pair_sum"]}}}'
-            elif name == BOUND_AVERAGE_DISTANCE:
-                detail = f'{{"margin":{d["margin"]},"wiener":{d["wiener"]}}}'
+                head = _head_jsonl(name, num, den, margin, d["margin"], d["pair_sum"])
             elif name.startswith(_R_SUBSET):
-                detail = (f'{{"margin":{d["margin"]},"method":"{d["method"]}",'
-                          f'"pair_sum":{d["pair_sum"]},"r":{d["r"]}}}')
+                head = _head_jsonl(name, num, den, margin,
+                                   d["margin"], d["method"], d["pair_sum"], d["r"])
+            elif name == BOUND_AVERAGE_DISTANCE:
+                head = _head_jsonl(name, num, den, margin, d["margin"], d["wiener"])
             else:  # BOUND_BOUNDARY_ECC
                 spade = d["spade"]
                 if spade is not None:
@@ -402,13 +425,15 @@ class BoundReport(NamedTuple):
                              f'"y":{spade["y"]},"z":{spade["z"]}}}')
                 detail = (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(tuple(d["boundary"]))},'
                           f'"margin":{d["margin"]},"spade":{spade or "null"},"z":{d["z"]}}}')
-            bounds.append(
-                f'{{"bound":"{name}","detail":{detail},'
-                f'"equality":{"true" if margin == 0 else "false"},'
-                f'"holds":{"true" if margin >= 0 else "false"},'
-                f'"skipped":false,"slack":{_frac_jsonl(margin, den)},'
-                f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(witness)}}}'
-            )
+                bounds.append(
+                    f'{{"bound":"{name}","detail":{detail},'
+                    f'"equality":{"true" if margin == 0 else "false"},'
+                    f'"holds":{"true" if margin >= 0 else "false"},'
+                    f'"skipped":false,"slack":{_frac_jsonl(margin, den)},'
+                    f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(witness)}}}'
+                )
+                continue
+            bounds.append(f"{head}{_ints_jsonl(witness)}}}")
         triples = ",".join(
             f'{{"dists":{_ints_jsonl(dists)},"mod3_ok":{"true" if mod3_ok else "false"},'
             f'"triple":{_ints_jsonl(triple)}}}'
@@ -423,16 +448,52 @@ class BoundReport(NamedTuple):
 
 
 # Each memo below keeps at most JSONL_MEMO_SIZE strings: more than the
-# distinct fractions, or the distinct witnesses and boundaries, of all
-# connected graphs of order 8.
+# distinct fractions, the distinct witnesses and boundaries, or the 281
+# distinct check heads of all connected graphs of order 8.
 JSONL_MEMO_SIZE = 2048
+
+# the detail keys of each check _head_jsonl writes, in the sorted order
+# in which jsonl_line passes their values
+_DETAIL_KEYS = {
+    BOUND_DIAMETER: ("diam", "margin"),
+    BOUND_TRIPLE: ("margin", "pair_sum"),
+    BOUND_AVERAGE_DISTANCE: ("margin", "wiener"),
+}
+_R_SUBSET_DETAIL_KEYS = ("margin", "method", "pair_sum", "r")
+
+
+@lru_cache(maxsize=JSONL_MEMO_SIZE)
+def _head_jsonl(name: str, num: int, den: int, margin: int, *detail) -> str:
+    """A check's line text up to its witness's value: what json.dumps
+    writes of its fields, with detail the values of its detail keys in
+    sorted order.
+
+    The text is made from these arguments alone, so the memo key holds
+    every value the head prints.
+    """
+    keys = _DETAIL_KEYS.get(name, _R_SUBSET_DETAIL_KEYS)
+    text = json.dumps({
+        "bound": name,
+        "detail": dict(zip(keys, detail, strict=True)),
+        "equality": margin == 0,
+        "holds": margin >= 0,
+        "skipped": False,
+        "slack": _lowest_terms(margin, den),
+        "value": _lowest_terms(num, den),
+        "witness": None,
+    }, sort_keys=True, separators=(",", ":"))
+    return text.removesuffix("null}")
+
+
+def _lowest_terms(num: int, den: int) -> dict:
+    # num/den in lowest terms, as Fraction(num, den) has it (den > 0)
+    g = math.gcd(num, den)
+    return {"den": den // g, "num": num // g}
 
 
 @lru_cache(maxsize=JSONL_MEMO_SIZE)
 def _frac_jsonl(num: int, den: int) -> str:
-    # num/den in lowest terms, as Fraction(num, den) has it (den > 0)
-    g = math.gcd(num, den)
-    return f'{{"den":{den // g},"num":{num // g}}}'
+    return json.dumps(_lowest_terms(num, den), separators=(",", ":"))
 
 
 @lru_cache(maxsize=JSONL_MEMO_SIZE)
@@ -448,10 +509,14 @@ def assemble_report(
     """Solve gamma and run every configured check; any failure marks it fatal.
 
     The graph id is encoded first, so a graph that graph6 cannot name
-    raises InvalidGraph6 before any search.
+    raises InvalidGraph6 before any search; then an r that is not an int
+    >= 3 raises BadR, before any cache or sort sees it.
     """
     if graph_id is None:
         graph_id = encode_graph6(g)
+    for r in rs:
+        if not isinstance(r, int) or r < 3:
+            raise BadR(f"configured r={r!r} is not an int >= 3")
     dm = all_pairs_distances(g)
     result = gamma_exact(g)
     gamma = result.gamma
@@ -459,8 +524,6 @@ def assemble_report(
     triple = best_triple_lb(gamma, dm)
     checks = [diameter_lb(gamma, dm), triple]
     for r in sorted(set(rs)):
-        if r < 3:
-            raise BadR(f"configured r={r} < 3")
         if r > g.n:
             checks.append(_skipped(r_subset_bound_name(r), f"r={r} exceeds n={g.n}"))
         elif r == 3:

@@ -10,7 +10,9 @@ without a scan.  The packed r-subset sums are kept on the matrix by the
 bounds module, once per matrix.
 
 DistanceMatrix is a frozen dataclass, since the bounds module sets the
-packed sums on it after construction; BoundaryInfo is a named tuple.
+packed sums on it after construction; its order n is a field that
+all_pairs_distances sets, so reading it costs no call.  BoundaryInfo is a
+named tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .graphs import Graph
 class DistanceMatrix:
     """All-pairs hop counts and every distance invariant the bounds read.
 
-    pair_dists lists d(u, v) for u < v in row order: (0, 1), (0, 2), ...,
+    n is the order, len(d); pair_dists lists d(u, v) for u < v in row order: (0, 1), (0, 2), ...,
     (0, n-1), (1, 2), ..., (n-2, n-1), the layout of the r-subset tables;
     wiener is W(G), the sum of d(u, v) over unordered pairs, so the sum of
     pair_dists; diametral_pair is the lexicographically first pair u < v
@@ -33,6 +35,7 @@ class DistanceMatrix:
     eccentricity.  The eccentricity of v is max(d[v]).
     """
 
+    n: int
     d: tuple[tuple[int, ...], ...]
     diam: int
     wiener: int
@@ -42,10 +45,6 @@ class DistanceMatrix:
     # set by bounds on first use: every packed r-subset sum of this matrix;
     # a DistanceMatrix never changes, so neither do they
     _packed_sums: bytes | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
 
 
 class BoundaryInfo(NamedTuple):
@@ -109,6 +108,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         z = to_boundary.index(r_ecc)
     pair_dists = tuple(pairs)
     return DistanceMatrix(
+        n=n,
         d=tuple(rows),
         diam=diam,
         wiener=sum(pair_dists),

@@ -42,7 +42,7 @@ class NotAGammaSet(DomdistError):
 
 
 class BadR(DomdistError):
-    """The subset size r is outside 3..n."""
+    """The subset size r is not an int in 3..n."""
 
 
 class UnknownBound(DomdistError):

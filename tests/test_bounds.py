@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from domdist import bounds
 from domdist.bounds import (
     DEFAULT_SUBSET_BUDGET,
+    BoundCheck,
     TripleEquality,
     _max_pair_sum,
     _packs,
@@ -188,6 +189,14 @@ class TestRSubsetBound:
         with pytest.raises(BadR):
             r_subset_lb(2, dm, 5)
 
+    @pytest.mark.parametrize("r", [4.0, "4"], ids=["float", "str"])
+    def test_non_int_r_raises_bad_r_before_any_cache(self, r):
+        dm = _dm(path_graph(8))
+        filled = [bounds._packs.cache_info(), bounds._subsets.cache_info()]
+        with pytest.raises(BadR):
+            r_subset_lb(2, dm, r)
+        assert [bounds._packs.cache_info(), bounds._subsets.cache_info()] == filled
+
     def test_r5_exhaustive_up_to_the_budget(self):
         # C(31, 5) = 169,911 fits the budget.  On a path the sum for
         # x1 < ... < x5 is -4*x1 - 2*x2 + 2*x4 + 4*x5: x3 is free, so 2 comes
@@ -342,7 +351,7 @@ class TestEveryPackedTableAboveSeven:
 
 
 # every cache of bounds.py: none is filled by importing the package
-_CACHES = ("_packed_table", "_packs", "_frac_jsonl", "_ints_jsonl")
+_CACHES = ("_packed_table", "_packs", "_subsets", "_frac_jsonl", "_ints_jsonl", "_head_jsonl")
 
 
 class TestPackedTableCache:
@@ -385,12 +394,29 @@ class TestPackedTableCache:
             bounds._packed_table.cache_clear()
         assert held < 1e6
 
+    def test_subsets_are_the_combinations_order(self):
+        """For every packed (n, r), _subsets(n, r) lists the r-subsets in
+        the order of the packed bytes, so the witness _max_pair_sum reads
+        from it is the first maximiser."""
+        pairs = [(n, r) for n in range(3, 19) for r in range(3, n + 1) if _packs(n, r)]
+        assert len(pairs) == 59
+        bounds._subsets.cache_clear()
+        try:
+            for n, r in pairs:
+                assert bounds._subsets(n, r) == tuple(combinations(range(n), r))
+                dm = _dm(_random_connected(n, seed=n * 100 + r))
+                assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (n, r)
+            assert bounds._subsets.cache_info().currsize == len(pairs)
+            assert sum(len(bounds._subsets(n, r)) for n, r in pairs) == 13184
+        finally:
+            bounds._subsets.cache_clear()
+
     def test_jsonl_memos_keep_at_most_their_bound(self):
-        """More distinct fractions and int lists than a memo keeps: every
-        string stays right, evicted ones too, and no memo grows past its
-        bound."""
+        """More distinct fractions, int lists and check heads than a memo
+        keeps: every string stays right, evicted ones too, and no memo grows
+        past its bound."""
         size = bounds.JSONL_MEMO_SIZE
-        memos = (bounds._frac_jsonl, bounds._ints_jsonl)
+        memos = (bounds._frac_jsonl, bounds._ints_jsonl, bounds._head_jsonl)
         for memo in memos:
             memo.cache_clear()
         try:
@@ -401,6 +427,12 @@ class TestPackedTableCache:
                         {"den": f.denominator, "num": f.numerator}, separators=(",", ":"))
                     xs = tuple(range(k % 7)) + (k,)
                     assert bounds._ints_jsonl(xs) == json.dumps(list(xs), separators=(",", ":"))
+                    # a triple check with pair_sum k: num = k, den = 6, gamma = 3
+                    check = BoundCheck("triple", k, 6, 18 - k, (0, 1, 2),
+                                       {"pair_sum": k, "margin": 18 - k})
+                    assert bounds._head_jsonl("triple", k, 6, 18 - k, 18 - k, k) == (
+                        json.dumps(_check_json(check), sort_keys=True,
+                                   separators=(",", ":")).removesuffix("[0,1,2]}"))
                 for memo in memos:
                     assert memo.cache_info().currsize == memo.cache_info().maxsize == size
         finally:
@@ -563,6 +595,11 @@ class TestAssembleReport:
     def test_configured_r_below_three_rejected(self):
         with pytest.raises(BadR):
             assemble_report(path_graph(4), rs=(2,))
+
+    @pytest.mark.parametrize("rs", [(4.0,), ("4",), (3, "4")], ids=["float", "str", "int-and-str"])
+    def test_configured_non_int_r_rejected(self, rs):
+        with pytest.raises(BadR):
+            assemble_report(path_graph(8), rs=rs)
 
     def test_jsonl_round_trips_and_is_stable(self):
         rep = assemble_report(star_graph(3))
@@ -728,3 +765,24 @@ class TestJsonlWriter:
     def test_edge_cases(self, build):
         rep = build()
         assert rep.jsonl_line() == _sorted_dumps(rep)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("diameter", {"diam": 4}),  # P4's num and margin with another diam
+        ("diameter", {"margin": 1}),
+        ("triple", {"pair_sum": 7}),  # pair_sum no longer equal to num
+        ("triple", {"margin": -1}),
+        ("r-subset:4", {"method": "sampled"}),
+        ("r-subset:4", {"r": 6}),
+        ("average-distance", {"wiener": 11}),
+    ], ids=["diameter-diam", "diameter-margin", "triple-pair_sum", "triple-margin",
+            "r-subset-method", "r-subset-r", "average-distance-wiener"])
+    def test_head_memo_keys_on_every_detail_value(self, name, edit):
+        """A check that differs from a written one only in its detail is
+        written from its own fields, not from the memoised head."""
+        rep = assemble_report(path_graph(4))
+        assert rep.jsonl_line() == _sorted_dumps(rep)  # memoises every head
+        checks = [c._replace(detail={**c.detail, **edit}) if c.name == name else c
+                  for c in rep.checks]
+        edited = rep._replace(checks=tuple(checks))
+        assert edited.check(name).num == rep.check(name).num
+        assert edited.jsonl_line() == _sorted_dumps(edited)
