@@ -28,11 +28,11 @@ those that attain 6*gamma, and only when 6*gamma <= 3*diam.
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, with the reduced fractions, the small
 int lists and the check heads memoised in bounded caches.  A check's head
-is its text up to the witness; it is keyed on every value it prints, so
-the diameter, triple, r-subset and average-distance checks of many graphs
-share one string (281 distinct heads at n = 8, well under the
-JSONL_MEMO_SIZE the memo keeps).  The boundary-ecc check and skipped
-checks are written by one f-string each.
+is its text up to the witness, keyed on its name, num, den, margin and
+every key and value of its detail, so the builders are the one place a
+detail's keys are written and many graphs share each head (281 at n = 8,
+well under the JSONL_MEMO_SIZE the memo keeps).  The boundary-ecc check
+and skipped checks are written by one f-string each.
 
 BoundCheck, TripleEquality and BoundReport are named tuples, the records
 every report builds per graph: immutable, updated with _replace, equal to
@@ -347,7 +347,7 @@ def boundary_ecc_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     """
     bi = dm.boundary_info
     r_ecc = bi.ecc_of_boundary
-    detail: dict = {"R": r_ecc, "boundary": list(bi.boundary), "z": bi.witness}
+    detail: dict = {"R": r_ecc, "boundary": bi.boundary, "z": bi.witness}
     if len(bi.boundary) < dm.n:
         x, y = dm.diametral_pair
         z = bi.witness
@@ -390,12 +390,12 @@ class BoundReport(NamedTuple):
 
         Written directly in the key order and spacing of
         json.dumps(..., sort_keys=True, separators=(",", ":")), which the
-        tests hold it to.  The diameter, triple, r-subset and
-        average-distance checks are each a memoised head (_head_jsonl,
-        keyed on every value it prints and holding up to JSONL_MEMO_SIZE
-        strings; 281 are needed at n = 8) followed by the witness; the
-        boundary-ecc check and skipped checks are one f-string each.  The
-        skip reasons go through json.dumps and the graph id through the
+        tests hold it to.  Skipped checks and the boundary-ecc check are
+        one f-string each; every other check is its memoised head
+        (_head_jsonl, keyed on its name, num, den, margin and every detail
+        key and value) and its witness.  A key added in boundary_ecc_lb
+        must be added to its f-string and to test_boundary_ecc_detail_keys.
+        The skip reasons go through json.dumps and the graph id through the
         escape json.dumps uses for a str, so their escaping is the same;
         every other string is one of this module's ASCII constants.  Each
         record is unpacked in field order, which costs less than reading
@@ -407,23 +407,13 @@ class BoundReport(NamedTuple):
             if num is None:
                 bounds.append(f'{{"bound":"{name}","reason":{json.dumps(skipped_reason)},'
                               f'"skipped":true}}')
-                continue
-            if name == BOUND_DIAMETER:
-                head = _head_jsonl(name, num, den, margin, d["diam"], d["margin"])
-            elif name == BOUND_TRIPLE:
-                head = _head_jsonl(name, num, den, margin, d["margin"], d["pair_sum"])
-            elif name.startswith(_R_SUBSET):
-                head = _head_jsonl(name, num, den, margin,
-                                   d["margin"], d["method"], d["pair_sum"], d["r"])
-            elif name == BOUND_AVERAGE_DISTANCE:
-                head = _head_jsonl(name, num, den, margin, d["margin"], d["wiener"])
-            else:  # BOUND_BOUNDARY_ECC
+            elif name == BOUND_BOUNDARY_ECC:
                 spade = d["spade"]
                 if spade is not None:
                     spade = (f'{{"ok":{"true" if spade["ok"] else "false"},"sum":{spade["sum"]},'
                              f'"threshold":{spade["threshold"]},"x":{spade["x"]},'
                              f'"y":{spade["y"]},"z":{spade["z"]}}}')
-                detail = (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(tuple(d["boundary"]))},'
+                detail = (f'{{"R":{d["R"]},"boundary":{_ints_jsonl(d["boundary"])},'
                           f'"margin":{d["margin"]},"spade":{spade or "null"},"z":{d["z"]}}}')
                 bounds.append(
                     f'{{"bound":"{name}","detail":{detail},'
@@ -432,8 +422,9 @@ class BoundReport(NamedTuple):
                     f'"skipped":false,"slack":{_frac_jsonl(margin, den)},'
                     f'"value":{_frac_jsonl(num, den)},"witness":{_ints_jsonl(witness)}}}'
                 )
-                continue
-            bounds.append(f"{head}{_ints_jsonl(witness)}}}")
+            else:
+                head = _head_jsonl(name, num, den, margin, *d, *d.values())
+                bounds.append(f"{head}{_ints_jsonl(witness)}}}")
         triples = ",".join(
             f'{{"dists":{_ints_jsonl(dists)},"mod3_ok":{"true" if mod3_ok else "false"},'
             f'"triple":{_ints_jsonl(triple)}}}'
@@ -452,29 +443,20 @@ class BoundReport(NamedTuple):
 # distinct check heads of all connected graphs of order 8.
 JSONL_MEMO_SIZE = 2048
 
-# the detail keys of each check _head_jsonl writes, in the sorted order
-# in which jsonl_line passes their values
-_DETAIL_KEYS = {
-    BOUND_DIAMETER: ("diam", "margin"),
-    BOUND_TRIPLE: ("margin", "pair_sum"),
-    BOUND_AVERAGE_DISTANCE: ("margin", "wiener"),
-}
-_R_SUBSET_DETAIL_KEYS = ("margin", "method", "pair_sum", "r")
-
 
 @lru_cache(maxsize=JSONL_MEMO_SIZE)
 def _head_jsonl(name: str, num: int, den: int, margin: int, *detail) -> str:
     """A check's line text up to its witness's value: what json.dumps
-    writes of its fields, with detail the values of its detail keys in
-    sorted order.
+    writes of its fields, with detail its detail's keys, then their values.
 
     The text is made from these arguments alone, so the memo key holds
-    every value the head prints.
+    every value the head prints.  Keys compare with ==, so a detail value
+    10.0 gets the head cached for 10; the builders store ints and strs.
     """
-    keys = _DETAIL_KEYS.get(name, _R_SUBSET_DETAIL_KEYS)
+    half = len(detail) // 2
     text = json.dumps({
         "bound": name,
-        "detail": dict(zip(keys, detail, strict=True)),
+        "detail": dict(zip(detail[:half], detail[half:])),
         "equality": margin == 0,
         "holds": margin >= 0,
         "skipped": False,

@@ -9,6 +9,7 @@ assumes a connected graph of order >= 2.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -141,8 +142,9 @@ def parse_edgelist(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
     The first non-comment line must be "n <count>"; every following
-    non-empty, non-comment line holds one edge "u v".  Lines starting with
-    '#' are comments.  Duplicate edges collapse silently.
+    non-empty, non-comment line holds one edge "u v"; the count and labels
+    are ASCII decimal integers.  Lines starting with '#' are comments.
+    Duplicate edges collapse silently.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -155,20 +157,27 @@ def parse_edgelist(text: str) -> Graph:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise MalformedLine(f"expected header 'n <count>', got {line!r}")
             try:
-                n = int(tokens[1])
+                n = _decimal(tokens[1])
             except ValueError:
                 raise MalformedLine(f"bad vertex count in header {line!r}") from None
             continue
         if len(tokens) != 2:
             raise MalformedLine(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
             raise MalformedLine(f"non-integer vertex label in {line!r}") from None
         edges.append((u, v))
     if n is None:
         raise MalformedLine("no 'n <count>' header found")
     return Graph.from_edges(n, edges)
+
+
+def _decimal(token: str) -> int:
+    # int() alone also reads "1_2" and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
 
 
 def _pair_order(n: int) -> Iterator[tuple[int, int]]:

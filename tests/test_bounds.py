@@ -430,7 +430,8 @@ class TestPackedTableCache:
                     # a triple check with pair_sum k: num = k, den = 6, gamma = 3
                     check = BoundCheck("triple", k, 6, 18 - k, (0, 1, 2),
                                        {"pair_sum": k, "margin": 18 - k})
-                    assert bounds._head_jsonl("triple", k, 6, 18 - k, 18 - k, k) == (
+                    assert bounds._head_jsonl("triple", k, 6, 18 - k, *check.detail,
+                                              *check.detail.values()) == (
                         json.dumps(_check_json(check), sort_keys=True,
                                    separators=(",", ":")).removesuffix("[0,1,2]}"))
                 for memo in memos:
@@ -786,3 +787,38 @@ class TestJsonlWriter:
         edited = rep._replace(checks=tuple(checks))
         assert edited.check(name).num == rep.check(name).num
         assert edited.jsonl_line() == _sorted_dumps(edited)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("diameter", lambda d: {**d, "ecc_min": 2}),
+        ("triple", lambda d: {**d, "triples": 4}),
+        ("average-distance", lambda d: {**d, "pairs": 6}),
+        # shaped like a tree certificate's detail: its own method and max S_T
+        ("r-subset:4", lambda d: {**d, "method": "tree-certificate", "tree_pair_sum": 10}),
+        ("triple", lambda d: {k: v for k, v in d.items() if k != "pair_sum"}),
+    ], ids=["diameter-extra", "triple-extra", "average-distance-extra",
+            "r-subset-tree-certificate", "triple-no-pair_sum"])
+    def test_head_writes_the_detail_keys_the_check_has(self, name, edit):
+        """The head is written from the keys of the check's own detail: a
+        key a builder adds reaches the line and a key it leaves out is not
+        looked for."""
+        rep = assemble_report(path_graph(4))
+        assert rep.jsonl_line() == _sorted_dumps(rep)  # memoises every head
+        checks = [c._replace(detail=edit(c.detail)) if c.name == name else c
+                  for c in rep.checks]
+        edited = rep._replace(checks=tuple(checks))
+        assert edited.check(name).detail != rep.check(name).detail
+        assert edited.jsonl_line() == _sorted_dumps(edited)
+
+    def test_boundary_ecc_detail_keys(self):
+        """jsonl_line writes the boundary-ecc detail from a fixed f-string,
+        so its keys are fixed here: a key added in boundary_ecc_lb must be
+        added to both."""
+        spades = 0
+        for n in range(2, 8):
+            for g in corpusgen.load_corpus(n):
+                detail = boundary_ecc_lb(1, _dm(g)).detail
+                assert sorted(detail) == ["R", "boundary", "margin", "spade", "z"], g
+                if detail["spade"] is not None:
+                    spades += 1
+                    assert sorted(detail["spade"]) == ["ok", "sum", "threshold", "x", "y", "z"]
+        assert spades > 0

@@ -210,6 +210,23 @@ class TestParseEdgelist:
         with pytest.raises(MalformedLine):
             parse_edgelist("n 3\n0 x")
 
+    @pytest.mark.parametrize("text", [
+        "n 1_2\n0 1",  # int() reads 12
+        "n \uff13\n0 1\n1 2",  # a full-width 3
+        "n 3\n0 1\n1 \uff12",  # a full-width 2
+        "n 3\n0 1\n\u0661 2",  # an Arabic-Indic 1
+        "n 3\n0 1\n1 +",
+    ], ids=["count-underscore", "count-fullwidth", "label-fullwidth",
+            "label-arabic-indic", "label-lone-sign"])
+    def test_integers_are_ascii_decimal(self, text):
+        with pytest.raises(MalformedLine):
+            parse_edgelist(text)
+
+    def test_signed_labels_are_integers(self):
+        assert parse_edgelist("n +3\n+0 1\n1 2") == path_graph(3)
+        with pytest.raises(VertexOutOfRange):
+            parse_edgelist("n 3\n0 -1")
+
     def test_empty_input(self):
         with pytest.raises(MalformedLine):
             parse_edgelist("# nothing here\n")
