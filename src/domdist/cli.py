@@ -26,7 +26,7 @@ import sys
 from .bounds import BoundReport, DEFAULT_RS, assemble_report
 from .domination import gamma_exact
 from .errors import DomdistError, GraphInputError, MalformedLine
-from .graphs import Graph, parse_graph6
+from .graphs import Graph, _decimal, parse_graph6
 from .harness import (
     FORMAT_EDGELIST,
     FORMAT_GRAPH6,
@@ -44,7 +44,7 @@ EXIT_USAGE = 2
 
 def _parse_r_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(_decimal(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad r list {text!r}") from None
     if not values or any(r < 3 for r in values):
@@ -54,7 +54,7 @@ def _parse_r_list(text: str) -> tuple[int, ...]:
 
 def _parse_vertex_set(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(_decimal(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from None
 

@@ -5,13 +5,20 @@ closed-neighborhood bit masks: bit u of closed_masks[v] is set iff u is in
 N[v] (so every mask holds its own bit).  Disconnected input and graphs with
 fewer than two vertices are rejected everywhere: every invariant downstream
 assumes a connected graph of order >= 2.
+
+graph6 (short form, n <= 62) is decoded straight into the masks: the body
+is read as one integer and each set bit ORs its pair into two masks through
+a per-order pair table, _graph6_pairs, which encode_graph6 reads too, so
+the two directions share one bit order.  The table is cached for each order
+on first use, at most the 61 orders 2..62.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from functools import cache
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     Disconnected,
@@ -180,15 +187,29 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
-def _pair_order(n: int) -> Iterator[tuple[int, int]]:
-    # graph6 bit order: upper triangle, column major
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+@cache
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair (i, j), i < j, of every bit of an order-n graph6 body, read
+    as one integer without its padding: entry b is the pair of bit b.
+
+    graph6 writes the upper triangle column by column, (0,1), (0,2), (1,2),
+    (0,3), ..., most significant bit first, so the last pair is bit 0.  Only
+    the short-form orders 2..62 reach here, so the cache holds at most 61
+    tables (C(62, 2) = 1891 pairs for the largest), each built on first use.
+    """
+    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one short-form graph6 string (n <= 62) into a Graph."""
+    """Decode one short-form graph6 string (n <= 62) into a Graph.
+
+    The body is read as one integer, 6 bits per character; each set bit
+    sets both closed masks of its _graph6_pairs pair, and Graph's own checks
+    then test the masks.  Malformed input raises InvalidGraph6 (empty
+    string, character outside '?'..'~', long form, wrong body length, a set
+    padding bit, in that order), then OrderTooSmall for n < 2, Disconnected
+    for fewer than n - 1 edges, and Graph's Disconnected for the rest.
+    """
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
@@ -207,27 +228,40 @@ def parse_graph6(line: str) -> Graph:
     body = s[1:]
     if len(body) != nbytes:
         raise InvalidGraph6(f"expected {nbytes} data characters for n={n}, got {len(body)}")
-    bits: list[int] = []
+    bits = 0
     for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[npairs:]):
+        bits = bits << 6 | ord(ch) - 63
+    pad = 6 * nbytes - npairs
+    if bits & ((1 << pad) - 1):
         raise InvalidGraph6("nonzero padding bits")
-    edges = [(i, j) for (i, j), bit in zip(_pair_order(n), bits) if bit]
-    return Graph.from_edges(n, edges)
+    if n < 2:
+        raise OrderTooSmall(f"graph order {n} < 2")
+    bits >>= pad
+    edges = bits.bit_count()
+    if edges < n - 1:
+        raise Disconnected(f"{edges} edges cannot connect {n} vertices")
+    pairs = _graph6_pairs(n)
+    masks = [1 << v for v in range(n)]
+    while bits:
+        low = bits & -bits
+        i, j = pairs[low.bit_length() - 1]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+        bits ^= low
+    return Graph(n, masks)
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a Graph as a short-form graph6 string (inverse of parse_graph6)."""
-    if g.n > _GRAPH6_MAX_N:
-        raise InvalidGraph6(f"short-form graph6 supports n <= {_GRAPH6_MAX_N}, got {g.n}")
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in _pair_order(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k:k + 6]:
-            val = (val << 1) | bit
-        chars.append(chr(63 + val))
-    return "".join(chars)
+    n, masks = g.n, g.closed_masks
+    if n > _GRAPH6_MAX_N:
+        raise InvalidGraph6(f"short-form graph6 supports n <= {_GRAPH6_MAX_N}, got {n}")
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    bits = 0
+    for b, (i, j) in enumerate(_graph6_pairs(n)):
+        if masks[i] >> j & 1:
+            bits |= 1 << b
+    bits <<= 6 * nbytes - npairs
+    return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63))
+                                 for k in range(nbytes - 1, -1, -1))

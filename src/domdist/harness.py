@@ -31,7 +31,7 @@ from .bounds import (
 from .distance import all_pairs_distances
 from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import GraphInputError, UnknownBound
-from .graphs import GRAPH6_HEADER, Graph, encode_graph6, parse_edgelist, parse_graph6
+from .graphs import GRAPH6_HEADER, Graph, _decimal, encode_graph6, parse_edgelist, parse_graph6
 
 FORMAT_GRAPH6 = "graph6"
 FORMAT_EDGELIST = "edgelist"
@@ -176,7 +176,7 @@ def canonical_bound_name(name: str) -> str:
         tail = name[len("r-subset("):-1]
     if tail is not None:
         try:
-            r = int(tail)
+            r = _decimal(tail.strip())
         except ValueError:
             raise UnknownBound(f"bad r in bound name {name!r}") from None
         if r < 3:

@@ -429,6 +429,30 @@ class TestUsage:
         assert exc.value.code == 2
         assert "bad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "Bw", "--r", "1_0"],
+        ["analyze", "Bw", "--r", "\uff14"],
+        ["lift", "Ch", "--set", "1,\u0662"],
+        ["tight", "{corpus}", "--bound", "r-subset:1_0"],
+        ["tight", "{corpus}", "--bound", "r-subset(\uff14)"],
+    ], ids=["r-underscore", "r-fullwidth", "set-arabic-indic", "bound-underscore",
+            "bound-fullwidth"])
+    def test_integers_are_ascii_decimal(self, argv, tmp_path, capsys):
+        # int() alone reads "1_0" as 10 and a full-width or Arabic-Indic digit
+        # as its value
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bw\nCh\n")
+        try:
+            code = main([arg.format(corpus=corpus) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "bad" in capsys.readouterr().err
+
+    def test_list_items_may_be_padded(self, capsys):
+        assert main(["analyze", "Ch", "--r", " 3, 4 "]) == 0
+        assert main(["lift", "Ch", "--set", "1, 2"]) == 0
+
     def test_option_strings_per_subcommand(self):
         # adding, renaming or dropping a flag means editing this table
         sub = next(a for a in build_parser()._actions

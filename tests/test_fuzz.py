@@ -19,14 +19,16 @@ _GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
 
 def _graph6_of(n):
-    # well-formed graph6 of a random graph of order n <= 22, so a string that
-    # parses stays quick to analyze; near misses come from the plain texts
-    def encode(bits):
-        bits = bits + [0] * (-len(bits) % 6)
-        return chr(63 + n) + "".join(
-            chr(63 + int("".join(map(str, bits[i:i + 6])), 2)) for i in range(0, len(bits), 6))
+    # well-formed graph6 of a random graph of every order the short form
+    # holds, n <= 62; near misses come from the plain texts
     pairs = n * (n - 1) // 2
-    return st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs).map(encode)
+    nbytes = (pairs + 5) // 6
+
+    def encode(bits):
+        bits <<= 6 * nbytes - pairs
+        return chr(63 + n) + "".join(
+            chr(63 + (bits >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1))
+    return st.integers(0, (1 << pairs) - 1).map(encode)
 
 
 def _edgelist_of(drawn):
@@ -37,7 +39,7 @@ def _edgelist_of(drawn):
 _TEXT = st.one_of(
     st.text(max_size=80),
     st.text(_GRAPH6_CHARS, max_size=40),
-    st.integers(0, 22).flatmap(_graph6_of),
+    st.integers(0, 62).flatmap(_graph6_of),
     st.text(st.sampled_from("n0123456789 -#\n\t"), max_size=80),
     st.tuples(
         connected_edge_lists(2, 12)

@@ -1,14 +1,20 @@
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from domdist import graphs
 from domdist.errors import (
     Disconnected,
+    DomdistError,
     InvalidGraph6,
     MalformedLine,
     OrderTooSmall,
@@ -282,6 +288,59 @@ class TestParseGraph6:
     def test_empty(self):
         with pytest.raises(InvalidGraph6):
             parse_graph6("")
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("", InvalidGraph6, "empty graph6 string"),
+        ("B!", InvalidGraph6, "character '!' outside graph6 alphabet"),
+        ("~\x7f", InvalidGraph6, "character '\\x7f' outside graph6 alphabet"),
+        ("~??~?????", InvalidGraph6, "long-form graph6 (n > 62) is not supported"),
+        ("~", InvalidGraph6, "long-form graph6 (n > 62) is not supported"),
+        ("Bww", InvalidGraph6, "expected 1 data characters for n=3, got 2"),
+        ("@?", InvalidGraph6, "expected 0 data characters for n=1, got 1"),
+        ("A" + chr(63 + 0b100001), InvalidGraph6, "nonzero padding bits"),
+        ("D?@", InvalidGraph6, "nonzero padding bits"),
+        ("?", OrderTooSmall, "graph order 0 < 2"),
+        ("@", OrderTooSmall, "graph order 1 < 2"),
+        ("C?", Disconnected, "0 edges cannot connect 4 vertices"),
+        ("D?_", Disconnected, "1 edges cannot connect 5 vertices"),
+        ("Cw", Disconnected, "graph is not connected"),
+    ], ids=["empty", "bad-character", "bad-character-before-long-form", "long-form",
+            "long-form-before-length", "bad-length", "length-before-order", "padding",
+            "padding-before-edge-count", "n0", "n1", "no-edges", "too-few-edges",
+            "isolated-vertex"])
+    def test_malformed_keeps_type_and_message(self, line, error, message):
+        # the checks run in this order, so the first fault found names the error
+        with pytest.raises(DomdistError) as exc:
+            parse_graph6(line)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_networkx_on_fixtures(self, n):
+        lines = Path(__file__).with_name("data").joinpath(f"connected_n{n}.g6").read_text().split()
+        for line in lines:
+            h = nx.from_graph6_bytes(line.encode())
+            assert parse_graph6(line) == Graph.from_edges(n, h.edges()), line
+
+    @pytest.mark.parametrize("n", range(2, 63))
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_matches_networkx_at_every_order(self, n, data):
+        _, edges = data.draw(connected_edge_lists(n, n))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        line = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert parse_graph6(line) == Graph.from_edges(n, edges), line
+
+    def test_pair_tables_empty_after_import(self):
+        src = str(Path(graphs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import domdist\nprint(domdist.graphs._graph6_pairs.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
 
     def test_agrees_with_edgelist_on_fixtures(self):
         assert parse_graph6("Bw") == parse_edgelist("n 3\n0 1\n0 2\n1 2")

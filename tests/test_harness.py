@@ -158,6 +158,15 @@ class TestBoundNames:
             with pytest.raises(UnknownBound):
                 canonical_bound_name(bad)
 
+    @pytest.mark.parametrize("name", ["r-subset:1_0", "r-subset:\uff14", "r-subset(\u0664)"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_r_is_ascii_decimal(self, name):
+        with pytest.raises(UnknownBound, match="bad r"):
+            canonical_bound_name(name)
+
+    def test_r_may_be_padded_and_signed(self):
+        assert canonical_bound_name("r-subset( +4 )") == "r-subset:4"
+
 
 class TestFindTightInstances:
     @staticmethod
