@@ -20,10 +20,12 @@ reads every subset's sum from one byte of one integer, and the witness by
 its index into _subsets(n, r); elsewhere it scans the subsets in that
 order.  One product per graph packs the sums of every r that packs at its
 order: the pair distances DistanceMatrix.pair_dists times a cached table
-per order n, laid out r by r in that order.  It is computed on first use
-and kept on the DistanceMatrix, the way gamma is kept on its Graph, so the
-triple bound and every packed r-subset bound read the same bytes.  triple_equality_analysis scans the triples for
-those that attain 6*gamma, and only when 6*gamma <= 3*diam.
+per order n, laid out r by r in that order.  _packed_product keeps the
+last product in a one-entry memo keyed on the order and the pair
+distances, so the triple bound and every packed r-subset bound of a
+report, which run back to back, read the same bytes.
+triple_equality_analysis scans the triples for those that attain
+6*gamma, and only when 6*gamma <= 3*diam.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, with the reduced fractions, the small
@@ -169,14 +171,14 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    Where _packs(n, r) the sums are read from the packed product (see
-    _packed_sums), and the witness is the subset at the first byte holding
-    the maximum.  Elsewhere the subsets are scanned in that order.
+    Where _packs(n, r) the sums are r's bytes of the packed product (see
+    _packed_product), and the witness is the subset at the first byte
+    holding the maximum.  Elsewhere the subsets are scanned in that order.
     """
     n = dm.n
     if not _packs(n, r):
         return _scan_pair_sums(dm.d, r)
-    sums = _packed_sums(dm, r)
+    sums = _packed_product(n, dm.pair_dists)[_packed_table(n)[1][r]]
     best = max(sums)
     return best, _subsets(n, r)[sums.index(best)]
 
@@ -193,22 +195,20 @@ def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(n), r))
 
 
-def _packed_sums(dm: DistanceMatrix, r: int) -> bytes:
-    """S(X) for every r-subset X, one byte each in lexicographic order, for
-    _packs(n, r).
+@lru_cache(maxsize=1)
+def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
+    """S(X) for every r-subset X of every r that packs at order n, one byte
+    each, r by r in lexicographic order: byte f of sum(d(p) * fields[p])
+    over the vertex pairs p, with the table of _packed_table(n), is the sum
+    of the subset at byte f.
 
-    One product per DistanceMatrix gives the sums of every packed r at
-    once: byte f of sum(d(p) * fields[p]) over the vertex pairs p, with the
-    table of _packed_table(n), is the sum of the subset at byte f.  It is
-    kept on the matrix, so the triple bound and each r-subset bound of one
-    graph read the same bytes.
+    The memo keeps one product, keyed on the pair distances themselves, so
+    the triple bound and each r-subset bound of one report, which ask for
+    it back to back, compute it once, and no caller reads another graph's
+    bytes.
     """
-    fields, spans, size = _packed_table(dm.n)
-    sums = dm._packed_sums
-    if sums is None:
-        sums = sum(map(mul, dm.pair_dists, fields)).to_bytes(size, "little")
-        object.__setattr__(dm, "_packed_sums", sums)
-    return sums[spans[r]]
+    fields, _, size = _packed_table(n)
+    return sum(map(mul, pair_dists, fields)).to_bytes(size, "little")
 
 
 @cache

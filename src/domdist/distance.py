@@ -6,25 +6,21 @@ first diametral pair, and the boundary with its set eccentricity.  Each
 eccentricity is the depth its BFS ends at.  The set eccentricity ecc(B)
 is the largest entry of the column minimum of the boundary rows, and its
 witness the lowest vertex holding it; when B is every vertex, ecc(B) is 0
-without a scan.  The packed r-subset sums are kept on the matrix by the
-bounds module, once per matrix.
+without a scan.
 
-DistanceMatrix is a frozen dataclass, since the bounds module sets the
-packed sums on it after construction; its order n is a field that
-all_pairs_distances sets, so reading it costs no call.  BoundaryInfo is a
-named tuple.
+DistanceMatrix and BoundaryInfo are named tuples: immutable, equal to a
+plain tuple of the same fields, and hashable.  The order n is a field, so
+reading it costs no call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """All-pairs hop counts and every distance invariant the bounds read.
 
     n is the order, len(d); pair_dists lists d(u, v) for u < v in row order: (0, 1), (0, 2), ...,
@@ -42,9 +38,6 @@ class DistanceMatrix:
     pair_dists: tuple[int, ...]
     diametral_pair: tuple[int, int]
     boundary_info: BoundaryInfo
-    # set by bounds on first use: every packed r-subset sum of this matrix;
-    # a DistanceMatrix never changes, so neither do they
-    _packed_sums: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 class BoundaryInfo(NamedTuple):

@@ -11,6 +11,12 @@ is read as one integer and each set bit ORs its pair into two masks through
 a per-order pair table, _graph6_pairs, which encode_graph6 reads too, so
 the two directions share one bit order.  The table is cached for each order
 on first use, at most the 61 orders 2..62.
+
+_graph6_token is the one rule for what text of a line is graph6: strip
+ASCII whitespace only, then drop a leading >>graph6<< header.  parse_graph6
+applies it, and so does the harness's corpus reader, which imports no
+header of its own.  Any other control or space character is left in, and
+the alphabet check rejects it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ if TYPE_CHECKING:
 
 GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
+# str.strip() also strips \x1c-\x1f, \x85 and other Unicode spaces, none
+# of which graph6 (bytes 63-126) gives a meaning to
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,19 +209,24 @@ def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
 
 
+def _graph6_token(line: str) -> str:
+    """The graph6 text of a line: stripped of ASCII whitespace, then of a
+    leading >>graph6<< header; "" for a blank or header-only line."""
+    return line.strip(_ASCII_WHITESPACE).removeprefix(GRAPH6_HEADER)
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one short-form graph6 string (n <= 62) into a Graph.
 
     The body is read as one integer, 6 bits per character; each set bit
     sets both closed masks of its _graph6_pairs pair, and Graph's own checks
-    then test the masks.  Malformed input raises InvalidGraph6 (empty
-    string, character outside '?'..'~', long form, wrong body length, a set
-    padding bit, in that order), then OrderTooSmall for n < 2, Disconnected
-    for fewer than n - 1 edges, and Graph's Disconnected for the rest.
+    then test the masks.  The line is read through _graph6_token first.
+    Malformed input raises InvalidGraph6 (empty string, character outside
+    '?'..'~', long form, wrong body length, a set padding bit, in that
+    order), then OrderTooSmall for n < 2, Disconnected for fewer than n - 1
+    edges, and Graph's Disconnected for the rest.
     """
-    s = line.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
+    s = _graph6_token(line)
     if not s:
         raise InvalidGraph6("empty graph6 string")
     for ch in s:

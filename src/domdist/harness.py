@@ -9,6 +9,8 @@ when called, so a caller may wrap it, say to time each entry.  Reports are
 produced in input order, so repeated runs over the same file are
 byte-identical.  Bytes that do not decode are read as surrogate escapes,
 which the parsers reject, so such an entry is malformed like any other.
+A graph6 line is read by graphs._graph6_token, the rule parse_graph6
+applies too: blank and header-only lines are no entry.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .bounds import (
 from .distance import all_pairs_distances
 from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import GraphInputError, UnknownBound
-from .graphs import GRAPH6_HEADER, Graph, _decimal, encode_graph6, parse_edgelist, parse_graph6
+from .graphs import Graph, _decimal, _graph6_token, encode_graph6, parse_edgelist, parse_graph6
 
 FORMAT_GRAPH6 = "graph6"
 FORMAT_EDGELIST = "edgelist"
@@ -54,14 +56,9 @@ class CorpusSummary:
 def _iter_graph6_entries(path: str) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(GRAPH6_HEADER):
-                line = line[len(GRAPH6_HEADER):]
-                if not line:
-                    continue
-            yield lineno, line
+            line = _graph6_token(raw)
+            if line:
+                yield lineno, line
 
 
 def _iter_edgelist_blocks(path: str) -> Iterator[tuple[int, str]]:

@@ -351,7 +351,8 @@ class TestEveryPackedTableAboveSeven:
 
 
 # every cache of bounds.py: none is filled by importing the package
-_CACHES = ("_packed_table", "_packs", "_subsets", "_frac_jsonl", "_ints_jsonl", "_head_jsonl")
+_CACHES = ("_packed_table", "_packed_product", "_packs", "_subsets", "_frac_jsonl",
+           "_ints_jsonl", "_head_jsonl")
 
 
 class TestPackedTableCache:
@@ -410,6 +411,25 @@ class TestPackedTableCache:
             assert sum(len(bounds._subsets(n, r)) for n, r in pairs) == 13184
         finally:
             bounds._subsets.cache_clear()
+
+    def test_product_memo_is_keyed_on_the_distances(self):
+        """Two matrices of one order, alternated through the triple bound and
+        the packed r-subset bounds: each answer is its own matrix's, although
+        the memo keeps one product."""
+        assert bounds._packed_product.cache_info().maxsize == 1
+        dms = [_dm(path_graph(8)), _dm(star_graph(7))]
+        assert dms[0].n == dms[1].n == 8 and all(_packs(8, r) for r in (3, 4, 5))
+        for _ in range(2):
+            for dm in dms:
+                check = best_triple_lb(2, dm)
+                assert (check.num, check.witness) == _first_max_pair_sum(dm, 3)
+                for r in (4, 5):
+                    check = r_subset_lb(2, dm, r)
+                    assert (check.num, check.witness) == _first_max_pair_sum(dm, r)
+            for dm in reversed(dms):
+                for r in (5, 4, 3):
+                    assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r)
+        assert bounds._packed_product.cache_info().currsize == 1
 
     def test_jsonl_memos_keep_at_most_their_bound(self):
         """More distinct fractions, int lists and check heads than a memo

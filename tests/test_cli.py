@@ -109,6 +109,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         assert "graph: Cl  n=4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    def test_graph6_control_character_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "ctl.g6"
+        path.write_bytes(b"Bw\x1f\n")
+        assert main([command, str(path)]) == 2
+        assert "outside graph6 alphabet" in capsys.readouterr().err
+
     def test_huge_header_order_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.el"
         path.write_text("n 200000\n0 1\n")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -76,6 +77,24 @@ class TestAllPairsDistances:
             for a in range(g.n):
                 for b in range(g.n):
                     assert dm2.d[a][b] <= dm.d[a][b]
+
+
+class TestDistanceMatrixRecord:
+    """DistanceMatrix is a named tuple, like the report records."""
+
+    def test_replace(self):
+        dm = all_pairs_distances(path_graph(4))
+        wider = dm._replace(diam=4)
+        assert (wider.diam, wider.d, dm.diam) == (4, dm.d, 3)
+
+    def test_equal_graphs_give_equal_hash_equal_matrices(self):
+        a, b = all_pairs_distances(spider(2, 2, 1)), all_pairs_distances(spider(2, 2, 1))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == tuple(a) and a != all_pairs_distances(path_graph(6))
+
+    def test_dataclasses_replace_does_not_apply(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(all_pairs_distances(path_graph(4)))
 
 
 class TestWienerIndex:

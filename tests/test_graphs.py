@@ -264,12 +264,17 @@ class TestParseGraph6:
     def test_header_prefix_stripped(self):
         assert parse_graph6(">>graph6<<Bw") == parse_graph6("Bw")
 
+    def test_ascii_whitespace_stripped(self):
+        assert parse_graph6(" \t\x0b\x0c>>graph6<<Bw\r\n") == parse_graph6("Bw")
+
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             parse_graph6("@")  # n = 1
 
     def test_bad_character(self):
-        with pytest.raises(InvalidGraph6):
+        # only ASCII whitespace is stripped, so \x1f fails the alphabet
+        # check, not the body length
+        with pytest.raises(InvalidGraph6, match=r"^character '\\x1f' outside graph6 alphabet$"):
             parse_graph6("B\x1f")
 
     def test_bad_length(self):
@@ -304,10 +309,15 @@ class TestParseGraph6:
         ("C?", Disconnected, "0 edges cannot connect 4 vertices"),
         ("D?_", Disconnected, "1 edges cannot connect 5 vertices"),
         ("Cw", Disconnected, "graph is not connected"),
+        ("Bw\x1f", InvalidGraph6, "character '\\x1f' outside graph6 alphabet"),
+        ("\x1cBw", InvalidGraph6, "character '\\x1c' outside graph6 alphabet"),
+        ("Bw\x85", InvalidGraph6, "character '\\x85' outside graph6 alphabet"),
+        ("Bw\u2028", InvalidGraph6, "character '\\u2028' outside graph6 alphabet"),
     ], ids=["empty", "bad-character", "bad-character-before-long-form", "long-form",
             "long-form-before-length", "bad-length", "length-before-order", "padding",
             "padding-before-edge-count", "n0", "n1", "no-edges", "too-few-edges",
-            "isolated-vertex"])
+            "isolated-vertex", "unit-separator-kept", "file-separator-kept",
+            "next-line-kept", "line-separator-kept"])
     def test_malformed_keeps_type_and_message(self, line, error, message):
         # the checks run in this order, so the first fault found names the error
         with pytest.raises(DomdistError) as exc:

@@ -57,6 +57,14 @@ class TestRunCorpusVerify:
         with pytest.raises(GraphInputError):
             run_corpus_verify(str(corpus), strict=True)
 
+    def test_control_character_line_skipped(self, tmp_path):
+        # only ASCII whitespace is stripped, so Bw\x1f is no triangle
+        corpus = tmp_path / "ctl.g6"
+        corpus.write_bytes(b"Bw\nBw\x1f\n")
+        summary = run_corpus_verify(str(corpus))
+        assert (summary.graphs_processed, summary.skipped) == (1, 1)
+        assert summary.errors == [(2, "InvalidGraph6: character '\\x1f' outside graph6 alphabet")]
+
     def test_disconnected_graph6_counts_as_skip(self, tmp_path):
         corpus = tmp_path / "disc.g6"
         corpus.write_text("A?\n")
