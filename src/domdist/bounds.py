@@ -20,7 +20,9 @@ reads every subset's sum from one byte of one integer, and the witness by
 its index into _subsets(n, r); elsewhere it scans the subsets in that
 order.  One product per graph packs the sums of every r that packs at its
 order: the pair distances DistanceMatrix.pair_dists times a cached table
-per order n, laid out r by r in that order.  _packed_product keeps the
+per order n, laid out r by r in that order; the pairs at distance 1 are
+read from one cached sum per order, _packed_base, so the product touches
+only the pairs at distance 2 or more.  _packed_product keeps the
 last product in a one-entry memo keyed on the order and the pair
 distances, so the triple bound and every packed r-subset bound of a
 report, which run back to back, read the same bytes.
@@ -40,7 +42,9 @@ BoundCheck, TripleEquality and BoundReport are named tuples, the records
 every report builds per graph: immutable, updated with _replace, equal to
 a plain tuple of the same fields, and hashable.  BoundCheck's hash leaves
 out its detail dict, which equality still compares; detail is a required
-field, so no two checks share one dict.
+field, so no two checks share one dict.  This module builds them with
+tuple.__new__ and every field in order, which skips the Python frame of a
+named tuple's generated __new__.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii  # what json.dumps(s) does for a str s
-from operator import add, and_, mul
+from operator import add, and_
 from typing import NamedTuple, Sequence
 
 from .distance import DistanceMatrix, all_pairs_distances
@@ -127,8 +131,14 @@ class TripleEquality(NamedTuple):
     mod3_ok: bool
 
 
+# tuple.__new__(Record, fields) builds a named tuple from all its fields,
+# in field order, without the Python frame of the generated __new__: the
+# per-graph records of a report are built this way
+_record = tuple.__new__
+
+
 def _skipped(name: str, reason: str) -> BoundCheck:
-    return BoundCheck(name, None, 1, None, (), {}, reason)
+    return _record(BoundCheck, (name, None, 1, None, (), {}, reason))
 
 
 def _check(name: str, gamma: int, num: int, den: int,
@@ -137,7 +147,7 @@ def _check(name: str, gamma: int, num: int, den: int,
     unless it keeps a margin of its own."""
     margin = den * gamma - num
     detail.setdefault("margin", margin)
-    return BoundCheck(name, num, den, margin, witness, detail)
+    return _record(BoundCheck, (name, num, den, margin, witness, detail, None))
 
 
 def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
@@ -202,13 +212,30 @@ def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
     over the vertex pairs p, with the table of _packed_table(n), is the sum
     of the subset at byte f.
 
+    Every distance is at least 1, so the sum is _packed_base(n), the sum
+    of every field, plus (d(p) - 1) * fields[p] over the pairs at distance
+    2 or more: a pair at distance 1 costs a comparison, one at distance 2
+    an addition, and only the rest a multiplication.
+
     The memo keeps one product, keyed on the pair distances themselves, so
     the triple bound and each r-subset bound of one report, which ask for
     it back to back, compute it once, and no caller reads another graph's
     bytes.
     """
     fields, _, size = _packed_table(n)
-    return sum(map(mul, pair_dists, fields)).to_bytes(size, "little")
+    total = _packed_base(n)
+    for d, field in zip(pair_dists, fields):
+        if d > 1:
+            total += field if d == 2 else (d - 1) * field
+    return total.to_bytes(size, "little")
+
+
+@cache
+def _packed_base(n: int) -> int:
+    """The sum of _packed_table(n)'s fields: byte f is C(r, 2) in r's bytes,
+    the pairs of the subset at byte f.  One int per order that packs, 16 in
+    all, each the size of a product."""
+    return sum(_packed_table(n)[0])
 
 
 @cache
@@ -304,7 +331,8 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
             for k in range(j + 1, n):
                 if di[k] + dj[k] == need:
                     dists = (di[j], di[k], dj[k])
-                    found.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
+                    found.append(_record(TripleEquality, (
+                        (i, j, k), dists, all(x % 3 == 2 for x in dists))))
     return tuple(found)
 
 
@@ -527,12 +555,6 @@ def assemble_report(
     if spade is not None and not spade["ok"]:
         violations.append(VIOLATION_SPADE)
 
-    return BoundReport(
-        graph6=graph_id,
-        n=g.n,
-        gamma=gamma,
-        gamma_witness=result.witness,
-        checks=tuple(checks),
-        triple_equalities=equalities,
-        violations=tuple(violations),
-    )
+    # graph6, n, gamma, gamma_witness, checks, triple_equalities, violations
+    return _record(BoundReport, (graph_id, g.n, gamma, result.witness, tuple(checks),
+                                 equalities, tuple(violations)))

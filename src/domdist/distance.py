@@ -8,6 +8,14 @@ is the largest entry of the column minimum of the boundary rows, and its
 witness the lowest vertex holding it; when B is every vertex, ecc(B) is 0
 without a scan.
 
+Each BFS reads a level's vertices from a byte table, _BYTE_BITS, whose
+entry b lists the bits set in the byte b: a level below 256 is one lookup,
+which is every level at n <= 8.  A wider level is read one byte at a time
+by _wide_level, through _byte_table(k), _BYTE_BITS shifted by 8k, for
+byte k; those tables are cached, shared by every order and built on first
+use, one per byte of the widest level met.  Rows stay tuples of ints, so
+a distance of 256 or more is held like any other.
+
 DistanceMatrix and BoundaryInfo are named tuples: immutable, equal to a
 plain tuple of the same fields, and hashable.  The order n is a field, so
 reading it costs no call.
@@ -15,6 +23,7 @@ reading it costs no call.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .graphs import Graph
@@ -52,16 +61,42 @@ class BoundaryInfo(NamedTuple):
     witness: int
 
 
+# entry b lists the bits set in the byte b, lowest first
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+@cache
+def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """_BYTE_BITS for byte k of a vertex mask: entry b lists the vertices
+    8k + i for the bits i set in b.  Built on first use, one per byte of
+    the widest level met."""
+    return tuple(tuple(8 * k + i for i in bits) for bits in _BYTE_BITS)
+
+
+def _wide_level(level: int) -> list[int]:
+    """The vertices of a level mask of 256 or more, lowest first, read one
+    byte at a time through _byte_table."""
+    vertices: list[int] = []
+    k = 0
+    while level:
+        vertices += _byte_table(k)[level & 255]
+        level >>= 8
+        k += 1
+    return vertices
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every source, then every invariant from the rows.
 
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
-    Connectivity is guaranteed by Graph.
+    A level's vertices are read from _BYTE_BITS, or by _wide_level once
+    the level is 256 or more.  Connectivity is guaranteed by Graph.
     """
     masks = g.closed_masks
     n = g.n
+    bits = _BYTE_BITS
     rows = []
     ecc = []
     pairs: list[int] = []
@@ -71,12 +106,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         depth = 0
         while True:
             reach = 0
-            while level:
-                low = level & -level
-                v = low.bit_length() - 1
+            for v in bits[level] if level < 256 else _wide_level(level):
                 dist[v] = depth
                 reach |= masks[v]
-                level ^= low
             level = reach & ~seen
             if not level:
                 break
@@ -100,15 +132,10 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         r_ecc = max(to_boundary)
         z = to_boundary.index(r_ecc)
     pair_dists = tuple(pairs)
-    return DistanceMatrix(
-        n=n,
-        d=tuple(rows),
-        diam=diam,
-        wiener=sum(pair_dists),
-        pair_dists=pair_dists,
-        diametral_pair=(u, rows[u].index(diam)),
-        boundary_info=BoundaryInfo(boundary, r_ecc, z),
-    )
+    # positional, in field order: n, d, diam, wiener, pair_dists,
+    # diametral_pair, boundary_info
+    return DistanceMatrix(n, tuple(rows), diam, sum(pair_dists), pair_dists,
+                          (u, rows[u].index(diam)), BoundaryInfo(boundary, r_ecc, z))
 
 
 def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:

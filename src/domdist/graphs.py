@@ -6,6 +6,14 @@ N[v] (so every mask holds its own bit).  Disconnected input and graphs with
 fewer than two vertices are rejected everywhere: every invariant downstream
 assumes a connected graph of order >= 2.
 
+Which constructor checks what: the raw Graph(n, masks) checks everything
+(order, mask count, range, own bits, symmetry, connectivity), since its
+masks may come from anywhere.  Graph.from_edges and parse_graph6 check
+each pair as they read it (a vertex of 0..n-1, no self-loop), start every
+mask at its own bit and set each pair in both masks, so range, own bits and
+symmetry hold by construction; they build the Graph through
+_from_pairwise_masks, which checks connectivity only.
+
 graph6 (short form, n <= 62) is decoded straight into the masks: the body
 is read as one integer and each set bit ORs its pair into two masks through
 a per-order pair table, _graph6_pairs, which encode_graph6 reads too, so
@@ -24,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -43,17 +51,22 @@ _GRAPH6_MAX_N = 62  # short form only
 # str.strip() also strips \x1c-\x1f, \x85 and other Unicode spaces, none
 # of which graph6 (bytes 63-126) gives a meaning to
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+# what str.splitlines() and str.split() would do, on ASCII line breaks and
+# ASCII whitespace only
+_LINE_BREAKS = re.compile(r"[\n\r]")
+_ASCII_SPACES = re.compile(f"[{re.escape(_ASCII_WHITESPACE)}]+")
 
 
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Connected simple graph on vertices 0..n-1, stored as closed-neighborhood masks.
 
-    Instances are validated on construction (every mask holds its own bit
-    and no bit >= n, symmetry, connectivity) and immutable afterwards, so
-    they can be shared freely across workers.  Use :meth:`from_edges` rather
-    than the raw constructor.  gamma_exact keeps its result in the one
-    private slot, so gamma is solved once per Graph.
+    The raw constructor validates everything (every mask holds its own bit
+    and no bit >= n, symmetry, connectivity); from_edges and parse_graph6
+    check their pairs as they read them and connectivity after.  Instances
+    are immutable, so they can be shared freely across workers.  Use
+    :meth:`from_edges` rather than the raw constructor.  gamma_exact keeps
+    its result in the one private slot, so gamma is solved once per Graph.
     """
 
     n: int
@@ -81,17 +94,7 @@ class Graph:
                 if not masks[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric for edge ({v}, {u})")
                 m ^= low
-        seen = level = 1  # breadth-first from vertex 0, one level per pass
-        while level:
-            reach = 0
-            while level:
-                low = level & -level
-                reach |= masks[low.bit_length() - 1]
-                level ^= low
-            level = reach & ~seen
-            seen |= level
-        if seen != (1 << n) - 1:
-            raise Disconnected("graph is not connected")
+        _require_connected(n, masks)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -100,7 +103,8 @@ class Graph:
         A connected graph of order n has at least n - 1 edges, so a shorter
         edge list raises Disconnected before the n masks are allocated:
         memory follows the length of the input, never an order read from a
-        header.
+        header.  Every edge is checked as it is read (ints of 0..n-1, no
+        self-loop), so the masks it sets need only the connectivity check.
         """
         if n < 2:
             raise OrderTooSmall(f"graph order {n} < 2")
@@ -120,7 +124,7 @@ class Graph:
         for u, v in edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return cls(n, tuple(masks))
+        return _from_pairwise_masks(cls, n, masks)
 
     @property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -154,21 +158,55 @@ class Graph:
                 raise VertexOutOfRange(f"vertex {v!r} outside 0..{n - 1}")
 
 
+def _require_connected(n: int, masks: Sequence[int]) -> None:
+    """Raise Disconnected unless a breadth-first search from vertex 0,
+    one level per pass, reaches all n vertices."""
+    seen = level = 1
+    while level:
+        reach = 0
+        while level:
+            low = level & -level
+            reach |= masks[low.bit_length() - 1]
+            level ^= low
+        level = reach & ~seen
+        seen |= level
+    if seen != (1 << n) - 1:
+        raise Disconnected("graph is not connected")
+
+
+def _from_pairwise_masks(cls: type[Graph], n: int, masks: list[int]) -> Graph:
+    """The Graph of n >= 2 masks that were each started at their own bit,
+    then had every pair (u, v) of distinct vertices of 0..n-1 set in both
+    masks: range, own bits and symmetry hold by construction, so only
+    connectivity is checked, and Graph's other checks are skipped."""
+    _require_connected(n, masks)
+    # past the dataclass __init__, and so past __post_init__; a frozen
+    # Graph refuses plain assignment
+    g = object.__new__(cls)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "closed_masks", tuple(masks))
+    object.__setattr__(g, "_gamma", None)
+    return g
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
     The first non-comment line must be "n <count>"; every following
     non-empty, non-comment line holds one edge "u v"; the count and labels
     are ASCII decimal integers.  Lines starting with '#' are comments.
-    Duplicate edges collapse silently.
+    Duplicate edges collapse silently.  Lines end at '\n' or '\r' only,
+    and tokens are separated by ASCII whitespace only, so any other control
+    or space character ('\x1c'-'\x1f', '\x85', U+2028) stays inside its
+    token and makes the line malformed.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in _LINE_BREAKS.split(text):
+        line = raw.strip(_ASCII_WHITESPACE)
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = _ASCII_SPACES.split(line)
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise MalformedLine(f"expected header 'n <count>', got {line!r}")
@@ -219,12 +257,13 @@ def parse_graph6(line: str) -> Graph:
     """Decode one short-form graph6 string (n <= 62) into a Graph.
 
     The body is read as one integer, 6 bits per character; each set bit
-    sets both closed masks of its _graph6_pairs pair, and Graph's own checks
-    then test the masks.  The line is read through _graph6_token first.
-    Malformed input raises InvalidGraph6 (empty string, character outside
-    '?'..'~', long form, wrong body length, a set padding bit, in that
-    order), then OrderTooSmall for n < 2, Disconnected for fewer than n - 1
-    edges, and Graph's Disconnected for the rest.
+    sets both closed masks of its _graph6_pairs pair, so the masks are
+    symmetric, in range and hold their own bits by construction, and only
+    connectivity is left to check.  The line is read through _graph6_token
+    first.  Malformed input raises InvalidGraph6 (empty string, character
+    outside '?'..'~', long form, wrong body length, a set padding bit, in
+    that order), then OrderTooSmall for n < 2, Disconnected for fewer than
+    n - 1 edges, and Disconnected for the rest.
     """
     s = _graph6_token(line)
     if not s:
@@ -262,7 +301,7 @@ def parse_graph6(line: str) -> Graph:
         masks[i] |= 1 << j
         masks[j] |= 1 << i
         bits ^= low
-    return Graph(n, masks)
+    return _from_pairwise_masks(Graph, n, masks)
 
 
 def encode_graph6(g: Graph) -> str:

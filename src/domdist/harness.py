@@ -33,7 +33,15 @@ from .bounds import (
 from .distance import all_pairs_distances
 from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import GraphInputError, UnknownBound
-from .graphs import Graph, _decimal, _graph6_token, encode_graph6, parse_edgelist, parse_graph6
+from .graphs import (
+    _ASCII_WHITESPACE,
+    Graph,
+    _decimal,
+    _graph6_token,
+    encode_graph6,
+    parse_edgelist,
+    parse_graph6,
+)
 
 FORMAT_GRAPH6 = "graph6"
 FORMAT_EDGELIST = "edgelist"
@@ -68,7 +76,7 @@ def _iter_edgelist_blocks(path: str) -> Iterator[tuple[int, str]]:
         start = 0
         content = False
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(_ASCII_WHITESPACE)
             if line:
                 if not block:
                     start = lineno
@@ -101,7 +109,7 @@ def iter_corpus(path: str, fmt: str = FORMAT_GRAPH6) -> Iterator[tuple[int, str,
                 g = parse_edgelist(block)
                 yield lineno, encode_graph6(g), g
             except GraphInputError as exc:
-                yield lineno, block.splitlines()[0], exc
+                yield lineno, block.split("\n", 1)[0], exc
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
 

@@ -351,8 +351,8 @@ class TestEveryPackedTableAboveSeven:
 
 
 # every cache of bounds.py: none is filled by importing the package
-_CACHES = ("_packed_table", "_packed_product", "_packs", "_subsets", "_frac_jsonl",
-           "_ints_jsonl", "_head_jsonl")
+_CACHES = ("_packed_table", "_packed_base", "_packed_product", "_packs", "_subsets",
+           "_frac_jsonl", "_ints_jsonl", "_head_jsonl")
 
 
 class TestPackedTableCache:

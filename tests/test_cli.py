@@ -116,6 +116,14 @@ class TestAnalyze:
         assert main([command, str(path)]) == 2
         assert "outside graph6 alphabet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "lift"])
+    def test_edgelist_control_character_exits_2(self, tmp_path, capsys, command):
+        # str.split() would read the path 0-1-2
+        path = tmp_path / "ctl.el"
+        path.write_bytes(b"n 3\n0 1\x1d1 2\n")
+        assert main([command, str(path), "--format", "edgelist"]) == 2
+        assert "expected 'u v'" in capsys.readouterr().err
+
     def test_huge_header_order_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.el"
         path.write_text("n 200000\n0 1\n")

@@ -79,6 +79,31 @@ class TestAllPairsDistances:
                     assert dm2.d[a][b] <= dm.d[a][b]
 
 
+class TestWideLevels:
+    """Orders above 8, where a BFS level can span two or more bytes of its
+    mask and is read byte by byte, against networkx."""
+
+    @given(connected_graphs(min_n=9, max_n=40))
+    @settings(deadline=None)
+    def test_matches_networkx(self, g):
+        dm = all_pairs_distances(g)
+        n = g.n
+        lengths = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+        rows = tuple(tuple(lengths[u][v] for v in range(n)) for u in range(n))
+        assert dm.d == rows
+        assert dm.pair_dists == tuple(rows[u][v] for u, v in combinations(range(n), 2))
+        assert dm.diam == nx.diameter(to_networkx(g))
+        boundary = tuple(sorted(nx.periphery(to_networkx(g))))
+        to_boundary = [min(rows[v][b] for b in boundary) for v in range(n)]
+        r_ecc = max(to_boundary)
+        assert dm.boundary_info == (boundary, r_ecc, to_boundary.index(r_ecc))
+
+    def test_distances_of_256_and_more(self):
+        dm = all_pairs_distances(path_graph(300))
+        assert dm.d[0] == tuple(range(300)) and dm.diam == 299
+        assert dm.boundary_info == ((0, 299), 149, 149)
+
+
 class TestDistanceMatrixRecord:
     """DistanceMatrix is a named tuple, like the report records."""
 

@@ -228,6 +228,23 @@ class TestParseEdgelist:
         with pytest.raises(MalformedLine):
             parse_edgelist(text)
 
+    @pytest.mark.parametrize("text", [
+        "n 3\n0 1\x1d1 2",  # str.splitlines() reads the path 0-1-2
+        "n 2\n0\x1f1",  # str.split() reads the edge (0, 1)
+        "n 3\n0 1\n\x1c\n1 2",  # str.splitlines() reads blank lines
+        "n 3\x85\n0 1\n1 2",
+        "n 3\n0 1\u20281 2",
+        "n 3\n0\u20031\n1 2",  # an em space
+    ], ids=["group-separator", "unit-separator", "file-separator-line", "next-line",
+            "line-separator", "em-space"])
+    def test_only_ascii_line_breaks_and_whitespace_separate(self, text):
+        with pytest.raises(MalformedLine):
+            parse_edgelist(text)
+
+    def test_ascii_line_breaks_and_whitespace(self):
+        for text in ("n 3\r\n0 1\r\n1 2\r\n", "n 3\r0 1\r1 2", "\x0cn\t3\n 0\x0b1 \n1  2\t"):
+            assert parse_edgelist(text) == path_graph(3), text
+
     def test_signed_labels_are_integers(self):
         assert parse_edgelist("n +3\n+0 1\n1 2") == path_graph(3)
         with pytest.raises(VertexOutOfRange):
@@ -356,6 +373,53 @@ class TestParseGraph6:
         assert parse_graph6("Bw") == parse_edgelist("n 3\n0 1\n0 2\n1 2")
         assert parse_graph6("Bg") == parse_edgelist("n 3\n0 1\n1 2")
         assert parse_graph6("A_") == parse_edgelist("n 2\n0 1")
+
+
+def _fully_validated(g):
+    """g rebuilt by the raw constructor, which checks range, own bits,
+    symmetry and connectivity; equal to g iff g passes them all."""
+    assert type(g) is Graph and type(g.closed_masks) is tuple
+    return Graph(g.n, g.closed_masks)
+
+
+class TestValidatedByConstruction:
+    """parse_graph6 and from_edges check connectivity only; every graph they
+    build passes the raw constructor's full validation."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_decoded_fixture_lines(self, n):
+        lines = Path(__file__).with_name("data").joinpath(f"connected_n{n}.g6").read_text().split()
+        for line in lines:
+            g = parse_graph6(line)
+            assert _fully_validated(g) == g, line
+
+    @pytest.mark.parametrize("n", range(2, 63))
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_graph6_strings_at_every_order(self, n, data):
+        _, edges = data.draw(connected_edge_lists(n, n))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(edges)
+        line = nx.to_graph6_bytes(h, header=False).decode().strip()
+        g = parse_graph6(line)
+        assert _fully_validated(g) == g, line
+
+    @given(connected_edge_lists(2, 30), st.data())
+    @settings(deadline=None)
+    def test_from_edges(self, drawn, data):
+        n, edges = drawn
+        # either orientation, and duplicates, as callers may pass them
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+        g = Graph.from_edges(n, edges + edges[: len(edges) // 2])
+        assert _fully_validated(g) == g
+
+    def test_disconnected_masks_still_raise(self):
+        for build in (lambda: parse_graph6("Cw"),
+                      lambda: Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])):
+            with pytest.raises(Disconnected, match="^graph is not connected$"):
+                build()
 
 
 class TestEncodeGraph6:

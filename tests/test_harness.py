@@ -81,6 +81,18 @@ class TestRunCorpusVerify:
         assert summary.graphs_processed == 2
         assert summary.violations == 0
 
+    def test_edgelist_control_characters_skipped(self, tmp_path):
+        # only ASCII whitespace separates lines and tokens: a line holding
+        # \x1c alone is no blank line, and 0 1\x1d1 2 is no pair of edges
+        corpus = tmp_path / "ctl.el"
+        corpus.write_bytes(b"n 2\n0 1\n\n\x1c\n\nn 3\n0 1\x1d1 2\n\nn 2\n0 1\n")
+        summary = run_corpus_verify(str(corpus), fmt="edgelist")
+        assert (summary.graphs_processed, summary.skipped) == (2, 2)
+        assert summary.errors == [
+            (4, "MalformedLine: expected header 'n <count>', got '\\x1c'"),
+            (6, "MalformedLine: expected 'u v', got '0 1\\x1d1 2'"),
+        ]
+
     def test_budget_skipped_checks_counted(self, tmp_path):
         # C(32, 5) exceeds the subset budget, C(32, 4) does not; K2 skips
         # its r-subset checks for its order, which is no budget skip
