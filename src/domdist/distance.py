@@ -10,11 +10,9 @@ without a scan.
 
 Each BFS reads a level's vertices from a byte table, _BYTE_BITS, whose
 entry b lists the bits set in the byte b: a level below 256 is one lookup,
-which is every level at n <= 8.  A wider level is read one byte at a time
-by _wide_level, through _byte_table(k), _BYTE_BITS shifted by 8k, for
-byte k; those tables are cached, shared by every order and built on first
-use, one per byte of the widest level met.  Rows stay tuples of ints, so
-a distance of 256 or more is held like any other.
+which is every level at n <= 8.  A wider level is read one set bit at a
+time, lowest first.  Rows stay tuples of ints, so a distance of 256 or
+more is held like any other.
 
 DistanceMatrix and BoundaryInfo are named tuples: immutable, equal to a
 plain tuple of the same fields, and hashable.  The order n is a field, so
@@ -23,7 +21,6 @@ reading it costs no call.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .graphs import Graph
@@ -65,34 +62,14 @@ class BoundaryInfo(NamedTuple):
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-@cache
-def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
-    """_BYTE_BITS for byte k of a vertex mask: entry b lists the vertices
-    8k + i for the bits i set in b.  Built on first use, one per byte of
-    the widest level met."""
-    return tuple(tuple(8 * k + i for i in bits) for bits in _BYTE_BITS)
-
-
-def _wide_level(level: int) -> list[int]:
-    """The vertices of a level mask of 256 or more, lowest first, read one
-    byte at a time through _byte_table."""
-    vertices: list[int] = []
-    k = 0
-    while level:
-        vertices += _byte_table(k)[level & 255]
-        level >>= 8
-        k += 1
-    return vertices
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every source, then every invariant from the rows.
 
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
-    A level's vertices are read from _BYTE_BITS, or by _wide_level once
-    the level is 256 or more.  Connectivity is guaranteed by Graph.
+    A level's vertices are read from _BYTE_BITS, or one set bit at a time
+    once the level is 256 or more.  Connectivity is guaranteed by Graph.
     """
     masks = g.closed_masks
     n = g.n
@@ -106,9 +83,17 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         depth = 0
         while True:
             reach = 0
-            for v in bits[level] if level < 256 else _wide_level(level):
-                dist[v] = depth
-                reach |= masks[v]
+            if level < 256:
+                for v in bits[level]:
+                    dist[v] = depth
+                    reach |= masks[v]
+            else:
+                while level:
+                    low = level & -level
+                    v = low.bit_length() - 1
+                    dist[v] = depth
+                    reach |= masks[v]
+                    level ^= low
             level = reach & ~seen
             if not level:
                 break

@@ -203,7 +203,7 @@ def parse_edgelist(text: str) -> Graph:
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for raw in _LINE_BREAKS.split(text):
-        line = raw.strip(_ASCII_WHITESPACE)
+        line = _edgelist_line(raw)
         if not line or line.startswith("#"):
             continue
         tokens = _ASCII_SPACES.split(line)
@@ -225,6 +225,12 @@ def parse_edgelist(text: str) -> Graph:
     if n is None:
         raise MalformedLine("no 'n <count>' header found")
     return Graph.from_edges(n, edges)
+
+
+def _edgelist_line(line: str) -> str:
+    """The text of an edge-list line: stripped of ASCII whitespace only;
+    "" for a blank line."""
+    return line.strip(_ASCII_WHITESPACE)
 
 
 def _decimal(token: str) -> int:

@@ -10,7 +10,9 @@ produced in input order, so repeated runs over the same file are
 byte-identical.  Bytes that do not decode are read as surrogate escapes,
 which the parsers reject, so such an entry is malformed like any other.
 A graph6 line is read by graphs._graph6_token, the rule parse_graph6
-applies too: blank and header-only lines are no entry.
+applies too: blank and header-only lines are no entry.  An edge-list line
+is read by graphs._edgelist_line, the rule parse_edgelist applies, so a
+block ends at a line parse_edgelist would read as blank.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .distance import all_pairs_distances
 from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import GraphInputError, UnknownBound
 from .graphs import (
-    _ASCII_WHITESPACE,
     Graph,
     _decimal,
+    _edgelist_line,
     _graph6_token,
     encode_graph6,
     parse_edgelist,
@@ -76,7 +78,7 @@ def _iter_edgelist_blocks(path: str) -> Iterator[tuple[int, str]]:
         start = 0
         content = False
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip(_ASCII_WHITESPACE)
+            line = _edgelist_line(raw)
             if line:
                 if not block:
                     start = lineno

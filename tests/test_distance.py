@@ -81,7 +81,7 @@ class TestAllPairsDistances:
 
 class TestWideLevels:
     """Orders above 8, where a BFS level can span two or more bytes of its
-    mask and is read byte by byte, against networkx."""
+    mask and is read one set bit at a time, against networkx."""
 
     @given(connected_graphs(min_n=9, max_n=40))
     @settings(deadline=None)
