@@ -16,9 +16,11 @@ holds=None, so every holds=True is proved over all r-subsets.
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
 r-subsets and the first subset attaining it in itertools.combinations
 order, for the triple bound and every r.  Where _packs(n, r) holds it
-reads every subset's sum from one byte of one integer, and the witness by
-its index into _subsets(n, r); elsewhere it scans the subsets in that
-order.  One product per graph packs the sums of every r that packs at its
+reads every subset's sum from one byte of one integer.  No sum exceeds
+C(r, 2)*diam, so it searches r's bytes for each value from there down:
+the first value found is the maximum, and the index of its first byte
+into _subsets(n, r) gives the witness.  Elsewhere it scans the subsets in
+that order.  One product per graph packs the sums of every r that packs at its
 order: the pair distances DistanceMatrix.pair_dists times a cached table
 per order n, laid out r by r in that order; the pairs at distance 1 are
 read from one cached sum per order, _packed_base, so the product touches
@@ -182,15 +184,22 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     the lexicographically first r-subset attaining it.
 
     Where _packs(n, r) the sums are r's bytes of the packed product (see
-    _packed_product), and the witness is the subset at the first byte
-    holding the maximum.  Elsewhere the subsets are scanned in that order.
+    _packed_product).  No pair distance exceeds diam, so no sum exceeds
+    C(r, 2)*diam: the byte values are searched from there down, and the
+    first one found is the maximum, at the byte of the first subset
+    holding it, which is the witness.  Every sum is at least C(r, 2), so
+    the search ends there at the latest.  Elsewhere the subsets are
+    scanned in that order.
     """
     n = dm.n
     if not _packs(n, r):
         return _scan_pair_sums(dm.d, r)
     sums = _packed_product(n, dm.pair_dists)[_packed_table(n)[1][r]]
-    best = max(sums)
-    return best, _subsets(n, r)[sums.index(best)]
+    # _packs holds every sum to one byte, and find takes a byte value
+    best = min(255, r * (r - 1) // 2 * dm.diam)
+    while (at := sums.find(best)) < 0:
+        best -= 1
+    return best, _subsets(n, r)[at]
 
 
 @cache

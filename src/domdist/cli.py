@@ -26,7 +26,7 @@ import sys
 from .bounds import BoundReport, DEFAULT_RS, assemble_report
 from .domination import gamma_exact
 from .errors import DomdistError, GraphInputError, MalformedLine
-from .graphs import Graph, _decimal, parse_graph6
+from .graphs import _ASCII_WHITESPACE, Graph, _decimal, parse_graph6
 from .harness import (
     FORMAT_EDGELIST,
     FORMAT_GRAPH6,
@@ -42,9 +42,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+def _decimal_list(text: str) -> tuple[int, ...]:
+    """The comma-separated ASCII decimal integers of text; each is stripped
+    of ASCII whitespace only, and an empty one is dropped."""
+    tokens = (tok.strip(_ASCII_WHITESPACE) for tok in text.split(","))
+    return tuple(_decimal(tok) for tok in tokens if tok)
+
+
 def _parse_r_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(_decimal(tok.strip()) for tok in text.split(",") if tok.strip())
+        values = _decimal_list(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad r list {text!r}") from None
     if not values or any(r < 3 for r in values):
@@ -54,7 +61,7 @@ def _parse_r_list(text: str) -> tuple[int, ...]:
 
 def _parse_vertex_set(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_decimal(tok.strip()) for tok in text.split(",") if tok.strip())
+        return _decimal_list(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from None
 

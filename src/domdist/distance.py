@@ -1,18 +1,34 @@
-"""Distance-based invariants: all-pairs BFS, Wiener index, boundary, set eccentricity.
+"""Distance-based invariants: all-pairs distances, Wiener index, boundary, set eccentricity.
 
-all_pairs_distances builds only what the bounds read: the BFS rows, the
-pair distances in the layout of the packed r-subset tables, W(G), the
-first diametral pair, and the boundary with its set eccentricity.  Each
-eccentricity is the depth its BFS ends at.  The set eccentricity ecc(B)
-is the largest entry of the column minimum of the boundary rows, and its
-witness the lowest vertex holding it; when B is every vertex, ecc(B) is 0
-without a scan.
+all_pairs_distances builds only what the bounds read: the distance rows,
+the pair distances in the layout of the packed r-subset tables, W(G), the
+first diametral pair, and the boundary with its set eccentricity.  The set
+eccentricity ecc(B) is the largest entry of the column minimum of the
+boundary rows, and its witness the lowest vertex holding it; when B is
+every vertex, ecc(B) is 0 without a scan.
 
-Each BFS reads a level's vertices from a byte table, _BYTE_BITS, whose
-entry b lists the bits set in the byte b: a level below 256 is one lookup,
-which is every level at n <= 8.  A wider level is read one set bit at a
-time, lowest first.  Rows stay tuples of ints, so a distance of 256 or
-more is held like any other.
+Two kernels give the rows, the pair distances, the diameter and the
+boundary; all_pairs_distances picks one by the order alone:
+
+- n <= 8, where every closed mask fits in one byte: _matrix_distances
+  holds the ball of radius k around every vertex as one int of n*n bytes
+  and grows all n balls at once, n multiplications per radius: a boolean
+  matrix product with every entry in its own byte of one int.  The closed
+  masks are spread to bytes through one 256-entry table, _SPREAD.  The
+  distances are the sum of the balls' complements, read out as one bytes
+  object: the rows by one zip, the pair distances by one per-order
+  itemgetter.  The boundary is the rows that hold the diameter.
+- n > 8: _bfs_distances runs a BFS from every source.  It reads a level's
+  vertices from a byte table, _BYTE_BITS, whose entry b lists the bits set
+  in the byte b, while the level is below 256, and one set bit at a time
+  after.  Each eccentricity is the depth its BFS ends at.  The matrix is
+  kept off these orders: each of its radius steps costs n operations on
+  ints of n*n bytes, and a version of it for any order ran 1.3 to 1.8
+  times as long as the BFS at n = 12 and 16, and 4.6 to 9.4 times at
+  n = 62, on random trees and sparse random graphs.
+
+Rows are tuples of ints from both kernels, so a distance of 256 or more is
+held like any other.
 
 DistanceMatrix and BoundaryInfo are named tuples: immutable, equal to a
 plain tuple of the same fields, and hashable.  The order n is a field, so
@@ -21,7 +37,9 @@ reading it costs no call.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cache
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .graphs import Graph
 
@@ -60,19 +78,57 @@ class BoundaryInfo(NamedTuple):
 
 # entry b lists the bits set in the byte b, lowest first
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# entry m spreads the byte m over eight bytes: byte i is bit i of m
+_SPREAD = tuple(int.from_bytes(bytes(m >> i & 1 for i in range(8)), "little")
+                for m in range(256))
+# the largest order whose closed masks fit in one byte, and so the largest
+# _matrix_distances reads
+_MATRIX_MAX_N = 8
+
+# rows, pair_dists, diam and boundary, as DistanceMatrix and BoundaryInfo hold them
+_Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source, then every invariant from the rows.
+    """The distance rows, then every invariant from them.
+
+    Orders up to _MATRIX_MAX_N take _matrix_distances, larger ones
+    _bfs_distances; both give the rows as tuples of ints, the pair
+    distances, the diameter and the boundary.  Connectivity is guaranteed
+    by Graph.
+    """
+    n = g.n
+    if n <= _MATRIX_MAX_N:
+        rows, pair_dists, diam, boundary = _matrix_distances(g.closed_masks, n)
+    else:
+        rows, pair_dists, diam, boundary = _bfs_distances(g.closed_masks, n)
+    # the lowest boundary vertex u starts the first diametral pair, and its
+    # first partner v is above u, since a partner is a boundary vertex too
+    u = boundary[0]
+    if len(boundary) == n:
+        # B = V: every vertex is at distance 0 from B.  B never has fewer
+        # than two vertices, both ends of a diametral pair.
+        r_ecc = z = 0
+    else:
+        # column v of the boundary rows holds d(b, v) for every b in B
+        to_boundary = list(map(min, *(rows[b] for b in boundary)))
+        r_ecc = max(to_boundary)
+        z = to_boundary.index(r_ecc)
+    # positional, in field order: n, d, diam, wiener, pair_dists,
+    # diametral_pair, boundary_info
+    return DistanceMatrix(n, rows, diam, sum(pair_dists), pair_dists,
+                          (u, rows[u].index(diam)), BoundaryInfo(boundary, r_ecc, z))
+
+
+def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
+    """Rows, pair distances, diameter and boundary by a BFS from every source.
 
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
     A level's vertices are read from _BYTE_BITS, or one set bit at a time
-    once the level is 256 or more.  Connectivity is guaranteed by Graph.
+    once the level is 256 or more.
     """
-    masks = g.closed_masks
-    n = g.n
     bits = _BYTE_BITS
     rows = []
     ecc = []
@@ -103,24 +159,61 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         ecc.append(depth)
         pairs += dist[source + 1:]
     diam = max(ecc)
-    boundary = tuple(v for v, e in enumerate(ecc) if e == diam)
-    # the lowest boundary vertex u starts the first diametral pair, and its
-    # first partner v is above u, since a partner is a boundary vertex too
-    u = boundary[0]
-    if len(boundary) == n:
-        # B = V: every vertex is at distance 0 from B.  B never has fewer
-        # than two vertices, both ends of a diametral pair.
-        r_ecc = z = 0
-    else:
-        # column v of the boundary rows holds d(b, v) for every b in B
-        to_boundary = list(map(min, *(rows[b] for b in boundary)))
-        r_ecc = max(to_boundary)
-        z = to_boundary.index(r_ecc)
-    pair_dists = tuple(pairs)
-    # positional, in field order: n, d, diam, wiener, pair_dists,
-    # diametral_pair, boundary_info
-    return DistanceMatrix(n, tuple(rows), diam, sum(pair_dists), pair_dists,
-                          (u, rows[u].index(diam)), BoundaryInfo(boundary, r_ecc, z))
+    return (tuple(rows), tuple(pairs), diam,
+            tuple([v for v, e in enumerate(ecc) if e == diam]))
+
+
+def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
+    """Rows, pair distances, diameter and boundary of an order
+    n <= _MATRIX_MAX_N from the balls B_k, all n rows at once.
+
+    B_k is one int of n*n bytes, row v at byte v*n, whose byte (v, u) is
+    1 iff d(v, u) <= k.  B_1 is the closed masks spread to bytes, and
+    B_{k+1} is the OR over u of column u of B_k, moved to byte 0 of each
+    row, times the spread mask of u: row v gains N[u] where u is within k
+    of v.  No byte of a product exceeds 1 and no product leaves its row.
+    d(v, u) counts the k with byte (v, u) of B_k at 0, so the distances
+    are the sum of ONES - B_k over k < diam, where ONES has every byte 1
+    and B_diam = ONES.  Each distance is at most n - 1, so no byte carries.
+    The boundary is the rows that hold diam.
+    """
+    ones, low, dist, spread_rows, upper = _matrix_table(n)
+    ball = int.from_bytes(b"".join([spread_rows[m] for m in masks]), "little")
+    spread = [_SPREAD[m] for m in masks]
+    diam = 1
+    while ball != ones:
+        dist += ones - ball
+        step = 0
+        for s in spread:
+            # column u of the ball at byte 0 of every row, times N[u]
+            step |= (ball & low) * s
+            ball >>= 8
+        ball = step
+        diam += 1
+    flat = dist.to_bytes(n * n, "little")
+    rows = tuple(zip(*[iter(flat)] * n))
+    return rows, upper(flat), diam, tuple([v for v, row in enumerate(rows) if diam in row])
+
+
+@cache
+def _matrix_table(n: int) -> tuple[int, int, int, tuple[bytes, ...],
+                                   Callable[[bytes], tuple[int, ...]]]:
+    """The constants of _matrix_distances at order n <= _MATRIX_MAX_N: ONES,
+    the byte 0 of every row, ONES - B_0, the n-byte spread of every mask of
+    order n, and a getter of the pair distances (u < v, in row order) from
+    the matrix's bytes.
+
+    Only _matrix_distances calls it, so the cache keeps at most the 7
+    orders 2..8: 510 spread rows, under 5e4 bytes together.
+    """
+    ones = int.from_bytes(bytes([1]) * (n * n), "little")
+    low = int.from_bytes(bytes([1] + [0] * (n - 1)) * n, "little")
+    identity = sum(1 << 8 * (n + 1) * v for v in range(n))
+    spread_rows = tuple(s.to_bytes(n, "little") for s in _SPREAD[:1 << n])
+    upper = [v * n + u for v in range(n) for u in range(v + 1, n)]
+    # itemgetter of a single index returns the item itself, not a 1-tuple
+    getter = itemgetter(*upper) if len(upper) > 1 else (lambda flat: (flat[1],))
+    return ones, low, ones - identity, spread_rows, getter
 
 
 def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:

@@ -14,11 +14,17 @@ mask at its own bit and set each pair in both masks, so range, own bits and
 symmetry hold by construction; they build the Graph through
 _from_pairwise_masks, which checks connectivity only.
 
-graph6 (short form, n <= 62) is decoded straight into the masks: the body
-is read as one integer and each set bit ORs its pair into two masks through
-a per-order pair table, _graph6_pairs, which encode_graph6 reads too, so
-the two directions share one bit order.  The table is cached for each order
-on first use, at most the 61 orders 2..62.
+graph6 (short form, n <= 62) is decoded straight into the masks.  The body
+is read as one integer for the checks.  Up to n = 8, where every mask fits
+in one byte, the masks are one int of n bytes: each body character ORs in
+its entry of a 64-entry table for its position and order,
+_graph6_tables, whose byte v holds the neighbours the character's set
+bits add to vertex v.  Above n = 8 each set bit of the body ORs its pair
+into two masks through a per-order pair table, _graph6_pairs, which
+encode_graph6 and the character tables read too, so every direction
+shares one bit order.  Both are cached for each order on first use: the
+character tables for at most the 7 orders 2..8, the pair tables for at
+most the 61 orders 2..62.
 
 _graph6_token is the one rule for what text of a line is graph6: strip
 ASCII whitespace only, then drop a leading >>graph6<< header.  parse_graph6
@@ -48,6 +54,9 @@ if TYPE_CHECKING:
 
 GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
+# the largest order whose closed masks fit in one byte: parse_graph6 decodes
+# these through _graph6_tables
+_TABLE_MAX_N = 8
 # str.strip() also strips \x1c-\x1f, \x85 and other Unicode spaces, none
 # of which graph6 (bytes 63-126) gives a meaning to
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
@@ -262,10 +271,12 @@ def _graph6_token(line: str) -> str:
 def parse_graph6(line: str) -> Graph:
     """Decode one short-form graph6 string (n <= 62) into a Graph.
 
-    The body is read as one integer, 6 bits per character; each set bit
-    sets both closed masks of its _graph6_pairs pair, so the masks are
-    symmetric, in range and hold their own bits by construction, and only
-    connectivity is left to check.  The line is read through _graph6_token
+    The body is read as one integer, 6 bits per character, for the
+    checks.  Each set bit sets both closed masks of its _graph6_pairs pair,
+    through the character tables of _table_masks up to n = 8 and bit by
+    bit in _bit_masks above, so the masks are symmetric, in range and hold
+    their own bits by construction, and only connectivity is left to
+    check.  The line is read through _graph6_token
     first.  Malformed input raises InvalidGraph6 (empty string, character
     outside '?'..'~', long form, wrong body length, a set padding bit, in
     that order), then OrderTooSmall for n < 2, Disconnected for fewer than
@@ -299,6 +310,14 @@ def parse_graph6(line: str) -> Graph:
     edges = bits.bit_count()
     if edges < n - 1:
         raise Disconnected(f"{edges} edges cannot connect {n} vertices")
+    if n <= _TABLE_MAX_N:
+        return _from_pairwise_masks(Graph, n, _table_masks(n, body))
+    return _from_pairwise_masks(Graph, n, _bit_masks(n, bits))
+
+
+def _bit_masks(n: int, bits: int) -> list[int]:
+    """The closed masks of an order-n body read as one integer without its
+    padding: each set bit ORs its _graph6_pairs pair into both masks."""
     pairs = _graph6_pairs(n)
     masks = [1 << v for v in range(n)]
     while bits:
@@ -307,7 +326,50 @@ def parse_graph6(line: str) -> Graph:
         masks[i] |= 1 << j
         masks[j] |= 1 << i
         bits ^= low
-    return _from_pairwise_masks(Graph, n, masks)
+    return masks
+
+
+def _table_masks(n: int, body: str) -> list[int]:
+    """The closed masks of an order n <= _TABLE_MAX_N from its body
+    characters, one byte per mask: each character ORs its entry in its
+    position's table of _graph6_tables into the own bits, and the n bytes
+    of the result are the masks.  A padding bit adds no pair to a table,
+    and parse_graph6 has checked that none is set."""
+    masks, tables = _graph6_tables(n)
+    for table, ch in zip(tables, body):
+        masks |= table[ord(ch) - 63]
+    return list(masks.to_bytes(n, "little"))
+
+
+@cache
+def _graph6_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The masks of order n <= _TABLE_MAX_N as one int of n bytes, byte v
+    the mask of vertex v: the own bits of every vertex, and for each body
+    character position a 64-entry table whose entry c is what the
+    character c + 63 ORs in, both masks of the pair of each set bit.
+
+    Only _table_masks calls it, so the cache keeps at most the 7 orders
+    2..8: 17 tables of 64 ints, under 5e4 bytes together.
+    """
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    pairs = _graph6_pairs(n)
+    tables = []
+    for k in range(nbytes):
+        # bit b of character k is bit 6*(nbytes-1-k) + b of the padded
+        # body, and that less the padding of the unpadded one
+        first = 6 * (nbytes - 1 - k) - (6 * nbytes - npairs)
+        table = []
+        for c in range(64):
+            entry = 0
+            for b in range(6):
+                if c >> b & 1 and first + b >= 0:
+                    i, j = pairs[first + b]
+                    entry |= (1 << 8 * i + j) | (1 << 8 * j + i)
+            table.append(entry)
+        tables.append(tuple(table))
+    # the own bit of vertex v is bit v of byte v, bit 9*v of the int
+    return sum(1 << 9 * v for v in range(n)), tuple(tables)
 
 
 def encode_graph6(g: Graph) -> str:

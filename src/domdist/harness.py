@@ -36,6 +36,7 @@ from .distance import all_pairs_distances
 from .domination import gamma_bruteforce_oracle, gamma_exact, is_dominating_set
 from .errors import GraphInputError, UnknownBound
 from .graphs import (
+    _ASCII_WHITESPACE,
     Graph,
     _decimal,
     _edgelist_line,
@@ -172,8 +173,12 @@ _FIXED_BOUNDS = (BOUND_DIAMETER, BOUND_TRIPLE, BOUND_AVERAGE_DISTANCE, BOUND_BOU
 
 
 def canonical_bound_name(name: str) -> str:
-    """Normalize a user-supplied bound name; raises UnknownBound otherwise."""
-    name = name.strip()
+    """Normalize a user-supplied bound name; raises UnknownBound otherwise.
+
+    The name and the r of an r-subset name are stripped of ASCII whitespace
+    only, so any other control or space character makes the name unknown.
+    """
+    name = name.strip(_ASCII_WHITESPACE)
     if name in _FIXED_BOUNDS:
         return name
     tail = None
@@ -183,7 +188,7 @@ def canonical_bound_name(name: str) -> str:
         tail = name[len("r-subset("):-1]
     if tail is not None:
         try:
-            r = _decimal(tail.strip())
+            r = _decimal(tail.strip(_ASCII_WHITESPACE))
         except ValueError:
             raise UnknownBound(f"bad r in bound name {name!r}") from None
         if r < 3:

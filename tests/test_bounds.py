@@ -350,9 +350,40 @@ class TestEveryPackedTableAboveSeven:
             assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), g
 
 
-# every cache of bounds.py: none is filled by importing the package
-_CACHES = ("_packed_table", "_packed_base", "_packed_product", "_packs", "_subsets",
-           "_frac_jsonl", "_ints_jsonl", "_head_jsonl")
+def _max_and_index(dm, r):
+    """The packed sums' maximum by max() and its first byte by index(): what
+    _max_pair_sum's search from C(r, 2)*diam down must find."""
+    sums = bounds._packed_product(dm.n, dm.pair_dists)[bounds._packed_table(dm.n)[1][r]]
+    best = max(sums)
+    return best, bounds._subsets(dm.n, r)[sums.index(best)]
+
+
+class TestPackedByteSearch:
+    """_max_pair_sum's search of the packed bytes against max() and index()."""
+
+    def test_every_graph_of_order_eight(self, corpus):
+        for g in corpus(8):
+            dm = _dm(g)
+            for r in range(3, 9):
+                assert _max_pair_sum(dm, r) == _max_and_index(dm, r), (g, r)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_packed_pair_on_random_graphs(self, seed):
+        pairs = [(n, r) for n in range(3, 19) for r in range(3, n + 1) if _packs(n, r)]
+        assert len(pairs) == 59
+        for n, r in pairs:
+            for g in (_random_connected(n, seed=seed * 10_000 + n * 100 + r),
+                      path_graph(n), complete_graph(n)):
+                dm = _dm(g)
+                assert _max_pair_sum(dm, r) == _max_and_index(dm, r), (g, r)
+
+
+# every cache of bounds.py, and the per-order tables of the n <= 8 kernels:
+# none is filled by importing the package
+_CACHES = tuple(("bounds", name) for name in (
+    "_packed_table", "_packed_base", "_packed_product", "_packs", "_subsets",
+    "_frac_jsonl", "_ints_jsonl", "_head_jsonl")) + (
+    ("distance", "_matrix_table"), ("graphs", "_graph6_tables"))
 
 
 class TestPackedTableCache:
@@ -361,8 +392,8 @@ class TestPackedTableCache:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         code = ("import domdist\n"
-                f"for name in {_CACHES!r}:\n"
-                "    print(getattr(domdist.bounds, name).cache_info().currsize)")
+                f"for module, name in {_CACHES!r}:\n"
+                "    print(getattr(getattr(domdist, module), name).cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr

@@ -468,6 +468,29 @@ class TestUsage:
         assert main(["analyze", "Ch", "--r", " 3, 4 "]) == 0
         assert main(["lift", "Ch", "--set", "1, 2"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "Bw", "--r", "3\x1c"],
+        ["analyze", "Bw", "--r", "\x1f3,4"],
+        ["verify", "{corpus}", "--r", "3,\x854"],
+        ["lift", "Ch", "--set", "0\x1f,1"],
+        ["lift", "Ch", "--set", "1,\u20022"],
+        ["tight", "{corpus}", "--bound", "diameter\x1f"],
+        ["tight", "{corpus}", "--bound", "r-subset:4\u2028"],
+    ], ids=["r-file-separator", "r-unit-separator", "r-next-line", "set-unit-separator",
+            "set-en-space", "bound-unit-separator", "bound-line-separator"])
+    def test_list_items_are_trimmed_of_ascii_whitespace_only(self, argv, tmp_path, capsys):
+        # str.strip() also removes \x1c-\x1f, \x85 and Unicode spaces, and
+        # these used to run as r = 3, the set {0, 1} and the named bound
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bw\nCh\n")
+        try:
+            code = main([arg.format(corpus=corpus) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad" in err or "unknown bound" in err
+
     def test_option_strings_per_subcommand(self):
         # adding, renaming or dropping a flag means editing this table
         sub = next(a for a in build_parser()._actions

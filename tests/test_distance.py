@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,13 +8,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from domdist import distance, graphs
 from domdist.bounds import average_distance_lb
 from domdist.distance import (
+    DistanceMatrix,
     all_pairs_distances,
     boundary_and_set_ecc,
     wiener_index,
 )
-from domdist.graphs import Graph
+from domdist.graphs import Graph, encode_graph6, parse_graph6
 
 from conftest import connected_graphs
 from graphutil import (
@@ -102,6 +106,85 @@ class TestWideLevels:
         dm = all_pairs_distances(path_graph(300))
         assert dm.d[0] == tuple(range(300)) and dm.diam == 299
         assert dm.boundary_info == ((0, 299), 149, 149)
+
+
+def _by_bfs(g):
+    """all_pairs_distances with every order sent to the BFS kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_MATRIX_MAX_N", 1)
+        return all_pairs_distances(g)
+
+
+def _matches_bfs(g):
+    dm, ref = all_pairs_distances(g), _by_bfs(g)
+    for field in DistanceMatrix._fields:
+        assert getattr(dm, field) == getattr(ref, field), (field, g)
+    # the rows stay tuples of ints, which CPython indexes faster than bytes
+    assert type(dm.d) is tuple and all(type(row) is tuple for row in dm.d)
+    assert {type(x) for row in dm.d for x in row} == {int}
+    assert type(dm.pair_dists) is tuple and {type(x) for x in dm.pair_dists} == {int}
+    assert type(dm.boundary_info.boundary) is tuple
+
+
+class TestByteMatrix:
+    """Up to n = 8 all_pairs_distances takes the byte-matrix kernel, with
+    the BFS kernel of the larger orders as the reference: all seven fields
+    equal, and the same types."""
+
+    def test_every_graph_up_to_eight_vertices(self, corpus):
+        for n in range(2, 9):
+            for g in corpus(n):
+                _matches_bfs(g)
+
+    @given(connected_graphs(max_n=8))
+    def test_random_graphs(self, g):
+        _matches_bfs(g)
+
+    @pytest.mark.parametrize("g", [path_graph(8), cycle_graph(8), star_graph(7),
+                                   complete_graph(8), path_graph(2)],
+                             ids=["P8", "C8", "K1_7", "K8", "K2"])
+    def test_extremes(self, g):
+        # diam 7, the widest a byte entry holds at n = 8; diam 1; n = 2
+        _matches_bfs(g)
+
+
+class TestSmallOrderTables:
+    """The per-order tables of the n <= 8 kernels, distance._matrix_table
+    and graphs._graph6_tables: none is built by import (see
+    TestPackedTableCache.test_empty_after_import), only the orders 2..8
+    are ever built, and each cache keeps them all in under 5e4 bytes."""
+
+    @pytest.fixture
+    def tables(self):
+        caches = (distance._matrix_table, graphs._graph6_tables)
+        for cache in caches:
+            cache.cache_clear()
+        yield caches
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_orders_up_to_eight_only(self, tables):
+        for n in range(2, 13):
+            g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+            assert parse_graph6(encode_graph6(g)) == g
+            assert all_pairs_distances(g) == _by_bfs(g)
+        assert [cache.cache_info().currsize for cache in tables] == [7, 7]
+
+    def test_bounded(self, tables):
+        for n in range(2, 9):
+            graphs._graph6_pairs(n)  # read by _graph6_tables, cached apart
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = []
+            for cache in tables:
+                before = tracemalloc.get_traced_memory()[0]
+                for n in range(2, 9):
+                    cache(n)
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert all(0 < h < 5e4 for h in held), held
 
 
 class TestDistanceMatrixRecord:

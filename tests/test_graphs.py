@@ -375,6 +375,45 @@ class TestParseGraph6:
         assert parse_graph6("A_") == parse_edgelist("n 2\n0 1")
 
 
+def _body_and_bits(line):
+    """The order, the body and the body read as one integer without its
+    padding, as parse_graph6 reads a well-formed short-form line."""
+    n, body = ord(line[0]) - 63, line[1:]
+    bits = 0
+    for ch in body:
+        bits = bits << 6 | ord(ch) - 63
+    return n, body, bits >> 6 * len(body) - n * (n - 1) // 2
+
+
+class TestTableDecode:
+    """Up to n = 8 parse_graph6 reads the masks from per-character tables,
+    with the bit-by-bit decoder of the larger orders as the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fixture_lines(self, n):
+        lines = Path(__file__).with_name("data").joinpath(f"connected_n{n}.g6").read_text().split()
+        for line in lines:
+            n, body, bits = _body_and_bits(line)
+            masks = graphs._table_masks(n, body)
+            assert masks == graphs._bit_masks(n, bits), line
+            assert parse_graph6(line).closed_masks == tuple(masks)
+
+    @given(connected_edge_lists(2, 8), st.data())
+    @settings(deadline=None)
+    def test_random_graphs_and_bodies(self, drawn, data):
+        n, edges = drawn
+        g = Graph.from_edges(n, edges)
+        n, body, bits = _body_and_bits(encode_graph6(g))
+        assert graphs._table_masks(n, body) == graphs._bit_masks(n, bits) == list(g.closed_masks)
+        # any body of that length, padding bits clear, connected or not
+        npairs = n * (n - 1) // 2
+        bits = data.draw(st.integers(0, (1 << npairs) - 1))
+        body = "".join(chr(63 + (bits << 6 * len(body) - npairs >> 6 * k & 63))
+                       for k in range(len(body) - 1, -1, -1))
+        assert _body_and_bits(chr(63 + n) + body) == (n, body, bits)
+        assert graphs._table_masks(n, body) == graphs._bit_masks(n, bits)
+
+
 def _fully_validated(g):
     """g rebuilt by the raw constructor, which checks range, own bits,
     symmetry and connectivity; equal to g iff g passes them all."""

@@ -3,7 +3,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from domdist import harness
+from domdist import distance, graphs, harness
 from domdist.errors import GraphInputError, InvalidGraph6, UnknownBound
 from domdist.graphs import encode_graph6
 from domdist.harness import (
@@ -164,6 +164,35 @@ class TestIterCorpus:
         assert entries[0][1] == "Bw"
 
 
+def _refuse(*args):
+    raise AssertionError("this order takes the other kernel")
+
+
+class TestKernelByOrder:
+    """Up to n = 8 verify runs on the byte-matrix distances and the table
+    decode alone, and above on the BFS and the bit decode alone: with the
+    kernels of the other side made to raise, each still verifies, so a
+    silent fallback from one to the other fails here."""
+
+    def test_order_eight_without_bfs_or_bit_decode(self, monkeypatch, tmp_path):
+        lines = corpusgen.corpus_path(8).read_text().split()[::37]
+        corpus = tmp_path / "slice.g6"
+        corpus.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(distance, "_bfs_distances", _refuse)
+        monkeypatch.setattr(graphs, "_bit_masks", _refuse)
+        summary = run_corpus_verify(str(corpus))
+        assert (summary.graphs_processed, summary.skipped, summary.violations) == (
+            len(lines), 0, 0)
+
+    def test_order_nine_without_byte_matrix_or_tables(self, monkeypatch, tmp_path):
+        corpus = tmp_path / "nine.g6"
+        corpus.write_text(encode_graph6(star_graph(8)) + "\n")
+        monkeypatch.setattr(distance, "_matrix_distances", _refuse)
+        monkeypatch.setattr(graphs, "_table_masks", _refuse)
+        summary = run_corpus_verify(str(corpus))
+        assert (summary.graphs_processed, summary.skipped, summary.violations) == (1, 0, 0)
+
+
 class TestBoundNames:
     def test_fixed_names(self):
         for name in ("diameter", "triple", "average-distance", "boundary-ecc"):
@@ -186,6 +215,24 @@ class TestBoundNames:
 
     def test_r_may_be_padded_and_signed(self):
         assert canonical_bound_name("r-subset( +4 )") == "r-subset:4"
+
+    def test_ascii_whitespace_trimmed(self):
+        assert canonical_bound_name(" \t diameter\r\n") == "diameter"
+        assert canonical_bound_name("\x0br-subset:\x0c4 ") == "r-subset:4"
+
+    @pytest.mark.parametrize("name", ["diameter\x1f", "\x1ctriple", "average-distance\x85",
+                                      "boundary-ecc\u2028", "\u3000diameter"],
+                             ids=["unit-separator", "file-separator", "next-line",
+                                  "line-separator", "ideographic-space"])
+    def test_other_space_characters_kept(self, name):
+        with pytest.raises(UnknownBound, match="unknown bound"):
+            canonical_bound_name(name)
+
+    @pytest.mark.parametrize("name", ["r-subset:4\x1f", "r-subset(\x1d4)", "r-subset:\xa04"],
+                             ids=["unit-separator", "group-separator", "no-break-space"])
+    def test_other_space_characters_kept_in_r(self, name):
+        with pytest.raises(UnknownBound, match="bad r"):
+            canonical_bound_name(name)
 
 
 class TestFindTightInstances:
