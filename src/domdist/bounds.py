@@ -23,11 +23,11 @@ into _subsets(n, r) gives the witness.  Elsewhere it scans the subsets in
 that order.  One product per graph packs the sums of every r that packs at its
 order: the pair distances DistanceMatrix.pair_dists times a cached table
 per order n, laid out r by r in that order; the pairs at distance 1 are
-read from one cached sum per order, _packed_base, so the product touches
-only the pairs at distance 2 or more.  _packed_product keeps the
-last product in a one-entry memo keyed on the order and the pair
-distances, so the triple bound and every packed r-subset bound of a
-report, which run back to back, read the same bytes.
+read from the sum of the table's ints, which the table keeps as its last
+field, so the product touches only the pairs at distance 2 or more.
+_packed_product keeps the last product in a one-entry memo keyed on the
+order and the pair distances, so the triple bound and every packed
+r-subset bound of a report, which run back to back, read the same bytes.
 triple_equality_analysis scans the triples for those that attain
 6*gamma, and only when 6*gamma <= 3*diam.
 
@@ -221,18 +221,18 @@ def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
     over the vertex pairs p, with the table of _packed_table(n), is the sum
     of the subset at byte f.
 
-    Every distance is at least 1, so the sum is _packed_base(n), the sum
+    Every distance is at least 1, so the sum is the table's base, the sum
     of every field, plus (d(p) - 1) * fields[p] over the pairs at distance
     2 or more: a pair at distance 1 costs a comparison, one at distance 2
-    an addition, and only the rest a multiplication.
+    an addition, and only the rest a multiplication.  The table and its
+    base are one cache lookup.
 
     The memo keeps one product, keyed on the pair distances themselves, so
     the triple bound and each r-subset bound of one report, which ask for
     it back to back, compute it once, and no caller reads another graph's
     bytes.
     """
-    fields, _, size = _packed_table(n)
-    total = _packed_base(n)
+    fields, _, size, total = _packed_table(n)
     for d, field in zip(pair_dists, fields):
         if d > 1:
             total += field if d == 2 else (d - 1) * field
@@ -240,25 +240,19 @@ def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
 
 
 @cache
-def _packed_base(n: int) -> int:
-    """The sum of _packed_table(n)'s fields: byte f is C(r, 2) in r's bytes,
-    the pairs of the subset at byte f.  One int per order that packs, 16 in
-    all, each the size of a product."""
-    return sum(_packed_table(n)[0])
-
-
-@cache
-def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int]:
+def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int, int]:
     """The packed table of order n: one int per vertex pair, in the order
-    of DistanceMatrix.pair_dists, plus the bytes of each r and the byte
-    count.  For each r with _packs(n, r), in increasing order, the table
-    holds one byte per r-subset in lexicographic order, and byte f of a
-    pair's int is 1 iff the pair lies in the subset at byte f.
+    of DistanceMatrix.pair_dists, then the bytes of each r, the byte count
+    and the base, the sum of the pairs' ints.  For each r with
+    _packs(n, r), in increasing order, the table holds one byte per
+    r-subset in lexicographic order, and byte f of a pair's int is 1 iff
+    the pair lies in the subset at byte f; byte f of the base is C(r, 2),
+    the pairs of the subset at byte f.
 
     Memory: the cache is filled lazily, so importing the package builds no
     table, and it keeps every table built: the 16 orders that pack, which
     hold the 59 pairs (n, r) that _packs admits, take under 1e6 bytes
-    together.
+    together, their bases included.
     """
     # byte f of members[v] is 1 iff v is in the subset at byte f, so a
     # pair's int is the AND of its two vertices' ints
@@ -276,7 +270,8 @@ def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int]:
                 members[v][at] = 1
         size = spans[r].stop
     ints = [int.from_bytes(m, "little") for m in members]
-    return tuple(starmap(and_, combinations(ints, 2))), spans, size
+    fields = tuple(starmap(and_, combinations(ints, 2)))
+    return fields, spans, size, sum(fields)
 
 
 def _scan_pair_sums(d: tuple[tuple[int, ...], ...], r: int) -> tuple[int, tuple[int, ...]]:

@@ -10,29 +10,30 @@ every vertex, ecc(B) is 0 without a scan.
 Two kernels give the rows, the pair distances, the diameter and the
 boundary; all_pairs_distances picks one by the order alone:
 
-- n <= 8, where every closed mask fits in one byte: _matrix_distances
-  holds the ball of radius k around every vertex as one int of n*n bytes
-  and grows all n balls at once, n multiplications per radius: a boolean
-  matrix product with every entry in its own byte of one int.  The closed
-  masks are spread to bytes through one 256-entry table, _SPREAD.  The
-  distances are the sum of the balls' complements, read out as one bytes
-  object: the rows by one zip, the pair distances by one per-order
-  itemgetter.  The boundary is the rows that hold the diameter.
-- n > 8: _bfs_distances runs a BFS from every source.  It reads a level's
-  vertices from a byte table, _BYTE_BITS, whose entry b lists the bits set
-  in the byte b, while the level is below 256, and one set bit at a time
-  after.  Each eccentricity is the depth its BFS ends at.  The matrix is
-  kept off these orders: each of its radius steps costs n operations on
-  ints of n*n bytes, and a version of it for any order ran 1.3 to 1.8
-  times as long as the BFS at n = 12 and 16, and 4.6 to 9.4 times at
-  n = 62, on random trees and sparse random graphs.
+- n <= graphs._BYTE_MAX_N = 8, where every closed mask fits in one byte:
+  _matrix_distances holds the ball of radius k around every vertex as one
+  int of n*n bytes and grows all n balls at once, n multiplications per
+  radius: a boolean matrix product with every entry in its own byte of one
+  int.  The closed masks are spread to bytes through one 256-entry table,
+  _SPREAD.  The distances are the sum of the balls' complements, read out
+  as one bytes object: the rows by one zip, the pair distances by one
+  per-order itemgetter.  The boundary is the rows that hold the diameter.
+- n > 8: _bfs_distances runs a BFS from every source and reads each
+  level one set bit at a time.  Each eccentricity is the depth its BFS
+  ends at.  The matrix is kept off these orders: each of its radius steps
+  costs n operations on ints of n*n bytes, and a version of it for any
+  order ran 1.3 to 1.8 times as long as the BFS at n = 12 and 16, and 4.6
+  to 9.4 times at n = 62, on random trees and sparse random graphs.
 
 Rows are tuples of ints from both kernels, so a distance of 256 or more is
 held like any other.
 
 DistanceMatrix and BoundaryInfo are named tuples: immutable, equal to a
 plain tuple of the same fields, and hashable.  The order n is a field, so
-reading it costs no call.
+reading it costs no call.  all_pairs_distances builds them with
+tuple.__new__ and every field in order, as bounds builds its report
+records, which skips the Python frame of a named tuple's generated
+__new__.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .graphs import Graph
+from .graphs import _BYTE_MAX_N, Graph
 
 
 class DistanceMatrix(NamedTuple):
@@ -76,14 +77,9 @@ class BoundaryInfo(NamedTuple):
     witness: int
 
 
-# entry b lists the bits set in the byte b, lowest first
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 # entry m spreads the byte m over eight bytes: byte i is bit i of m
 _SPREAD = tuple(int.from_bytes(bytes(m >> i & 1 for i in range(8)), "little")
                 for m in range(256))
-# the largest order whose closed masks fit in one byte, and so the largest
-# _matrix_distances reads
-_MATRIX_MAX_N = 8
 
 # rows, pair_dists, diam and boundary, as DistanceMatrix and BoundaryInfo hold them
 _Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]
@@ -92,13 +88,13 @@ _Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int,
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """The distance rows, then every invariant from them.
 
-    Orders up to _MATRIX_MAX_N take _matrix_distances, larger ones
+    Orders up to _BYTE_MAX_N take _matrix_distances, larger ones
     _bfs_distances; both give the rows as tuples of ints, the pair
     distances, the diameter and the boundary.  Connectivity is guaranteed
     by Graph.
     """
     n = g.n
-    if n <= _MATRIX_MAX_N:
+    if n <= _BYTE_MAX_N:
         rows, pair_dists, diam, boundary = _matrix_distances(g.closed_masks, n)
     else:
         rows, pair_dists, diam, boundary = _bfs_distances(g.closed_masks, n)
@@ -114,10 +110,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         to_boundary = list(map(min, *(rows[b] for b in boundary)))
         r_ecc = max(to_boundary)
         z = to_boundary.index(r_ecc)
-    # positional, in field order: n, d, diam, wiener, pair_dists,
-    # diametral_pair, boundary_info
-    return DistanceMatrix(n, rows, diam, sum(pair_dists), pair_dists,
-                          (u, rows[u].index(diam)), BoundaryInfo(boundary, r_ecc, z))
+    # every field in order: n, d, diam, wiener, pair_dists, diametral_pair,
+    # boundary_info
+    return tuple.__new__(DistanceMatrix, (
+        n, rows, diam, sum(pair_dists), pair_dists, (u, rows[u].index(diam)),
+        tuple.__new__(BoundaryInfo, (boundary, r_ecc, z))))
 
 
 def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
@@ -126,10 +123,9 @@ def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
-    A level's vertices are read from _BYTE_BITS, or one set bit at a time
-    once the level is 256 or more.
+    A level's vertices are read one set bit at a time, as
+    graphs._require_connected reads them.
     """
-    bits = _BYTE_BITS
     rows = []
     ecc = []
     pairs: list[int] = []
@@ -139,17 +135,12 @@ def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
         depth = 0
         while True:
             reach = 0
-            if level < 256:
-                for v in bits[level]:
-                    dist[v] = depth
-                    reach |= masks[v]
-            else:
-                while level:
-                    low = level & -level
-                    v = low.bit_length() - 1
-                    dist[v] = depth
-                    reach |= masks[v]
-                    level ^= low
+            while level:
+                low = level & -level
+                v = low.bit_length() - 1
+                dist[v] = depth
+                reach |= masks[v]
+                level ^= low
             level = reach & ~seen
             if not level:
                 break
@@ -165,7 +156,7 @@ def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
 
 def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
     """Rows, pair distances, diameter and boundary of an order
-    n <= _MATRIX_MAX_N from the balls B_k, all n rows at once.
+    n <= _BYTE_MAX_N from the balls B_k, all n rows at once.
 
     B_k is one int of n*n bytes, row v at byte v*n, whose byte (v, u) is
     1 iff d(v, u) <= k.  B_1 is the closed masks spread to bytes, and
@@ -198,7 +189,7 @@ def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
 @cache
 def _matrix_table(n: int) -> tuple[int, int, int, tuple[bytes, ...],
                                    Callable[[bytes], tuple[int, ...]]]:
-    """The constants of _matrix_distances at order n <= _MATRIX_MAX_N: ONES,
+    """The constants of _matrix_distances at order n <= _BYTE_MAX_N: ONES,
     the byte 0 of every row, ONES - B_0, the n-byte spread of every mask of
     order n, and a getter of the pair distances (u < v, in row order) from
     the matrix's bytes.
@@ -216,6 +207,7 @@ def _matrix_table(n: int) -> tuple[int, int, int, tuple[bytes, ...],
     return ones, low, ones - identity, spread_rows, getter
 
 
+# public, with no caller in the package: perfbench/tracer.py looks it up by name
 def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:
     """Sum of distances over unordered vertex pairs."""
     if dm is None:
@@ -223,6 +215,7 @@ def wiener_index(g: Graph, dm: DistanceMatrix | None = None) -> int:
     return dm.wiener
 
 
+# public, with no caller in the package: perfbench/tracer.py looks it up by name
 def boundary_and_set_ecc(g: Graph, dm: DistanceMatrix) -> BoundaryInfo:
     """Boundary vertices (eccentricity == diameter) and their set eccentricity."""
     if dm.n != g.n:

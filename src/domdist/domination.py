@@ -32,6 +32,7 @@ class DominationResult:
     witness: tuple[int, ...]
 
 
+# public, with no caller in the package: perfbench/tracer.py looks it up by name
 def closed_neighborhood_masks(g: Graph) -> tuple[int, ...]:
     """Bit mask of N[v] for every vertex v: the public name of g.closed_masks."""
     return g.closed_masks

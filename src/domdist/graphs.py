@@ -55,8 +55,9 @@ if TYPE_CHECKING:
 GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
 # the largest order whose closed masks fit in one byte: parse_graph6 decodes
-# these through _graph6_tables
-_TABLE_MAX_N = 8
+# these through _graph6_tables, and distance.all_pairs_distances measures
+# them by its byte matrix
+_BYTE_MAX_N = 8
 # str.strip() also strips \x1c-\x1f, \x85 and other Unicode spaces, none
 # of which graph6 (bytes 63-126) gives a meaning to
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
@@ -310,7 +311,7 @@ def parse_graph6(line: str) -> Graph:
     edges = bits.bit_count()
     if edges < n - 1:
         raise Disconnected(f"{edges} edges cannot connect {n} vertices")
-    if n <= _TABLE_MAX_N:
+    if n <= _BYTE_MAX_N:
         return _from_pairwise_masks(Graph, n, _table_masks(n, body))
     return _from_pairwise_masks(Graph, n, _bit_masks(n, bits))
 
@@ -330,7 +331,7 @@ def _bit_masks(n: int, bits: int) -> list[int]:
 
 
 def _table_masks(n: int, body: str) -> list[int]:
-    """The closed masks of an order n <= _TABLE_MAX_N from its body
+    """The closed masks of an order n <= _BYTE_MAX_N from its body
     characters, one byte per mask: each character ORs its entry in its
     position's table of _graph6_tables into the own bits, and the n bytes
     of the result are the masks.  A padding bit adds no pair to a table,
@@ -343,7 +344,7 @@ def _table_masks(n: int, body: str) -> list[int]:
 
 @cache
 def _graph6_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The masks of order n <= _TABLE_MAX_N as one int of n bytes, byte v
+    """The masks of order n <= _BYTE_MAX_N as one int of n bytes, byte v
     the mask of vertex v: the own bits of every vertex, and for each body
     character position a 64-entry table whose entry c is what the
     character c + 63 ORs in, both masks of the pair of each set bit.

@@ -378,31 +378,36 @@ class TestPackedByteSearch:
                 assert _max_pair_sum(dm, r) == _max_and_index(dm, r), (g, r)
 
 
-# every cache of bounds.py, and the per-order tables of the n <= 8 kernels:
-# none is filled by importing the package
-_CACHES = tuple(("bounds", name) for name in (
-    "_packed_table", "_packed_base", "_packed_product", "_packs", "_subsets",
-    "_frac_jsonl", "_ints_jsonl", "_head_jsonl")) + (
-    ("distance", "_matrix_table"), ("graphs", "_graph6_tables"))
+# imports every module of the package but __main__, then prints each
+# cache defined in one, found by its cache_info, with its size
+_LIST_CACHES = """
+import importlib, pkgutil, domdist
+for info in pkgutil.iter_modules(domdist.__path__, "domdist."):
+    if info.name != "domdist.__main__":
+        module = importlib.import_module(info.name)
+        for name, obj in sorted(vars(module).items()):
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                print(f"{module.__name__}.{name}", obj.cache_info().currsize)
+"""
 
 
 class TestPackedTableCache:
     def test_empty_after_import(self):
+        """Importing the package fills no cache of any of its modules."""
         src = str(Path(bounds.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = ("import domdist\n"
-                f"for module, name in {_CACHES!r}:\n"
-                "    print(getattr(getattr(domdist, module), name).cache_info().currsize)")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+        done = subprocess.run([sys.executable, "-c", _LIST_CACHES], capture_output=True,
                               text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"] * len(_CACHES)
+        sizes = dict(line.split() for line in done.stdout.splitlines())
+        assert "domdist.bounds._packed_table" in sizes and "domdist.graphs._graph6_pairs" in sizes
+        assert {name: size for name, size in sizes.items() if size != "0"} == {}
 
     def test_bounded(self):
         """Under _packed_table's bound: the tables of the 16 orders that
         pack, which hold all 59 pairs (n, r) that _packs admits, every one
-        with n <= 18, take under 1e6 bytes together."""
+        with n <= 18, take under 1e6 bytes together, their bases included."""
         # r < n packs only up to n = 64, as C(n, r) >= n there, and r = n
         # only up to n = 11, where a sum of W(P_n) = (n^3-n)/6 fits a byte
         assert not _packs(65, 64) and not _packs(12, 12)
@@ -415,11 +420,12 @@ class TestPackedTableCache:
         tracemalloc.start()
         try:
             for n in orders:
-                fields, spans, size = bounds._packed_table(n)
+                fields, spans, size, base = bounds._packed_table(n)
                 rs = [r for m, r in pairs if m == n]
                 assert list(spans) == rs and len(fields) == math.comb(n, 2)
                 assert [s.stop - s.start for s in spans.values()] == [math.comb(n, r) for r in rs]
                 assert size == sum(math.comb(n, r) for r in rs)
+                assert base == sum(fields)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -111,7 +111,7 @@ class TestWideLevels:
 def _by_bfs(g):
     """all_pairs_distances with every order sent to the BFS kernel."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distance, "_MATRIX_MAX_N", 1)
+        mp.setattr(distance, "_BYTE_MAX_N", 1)
         return all_pairs_distances(g)
 
 
