@@ -15,19 +15,21 @@ holds=None, so every holds=True is proved over all r-subsets.
 
 One kernel, _max_pair_sum, finds the largest pair-distance sum over the
 r-subsets and the first subset attaining it in itertools.combinations
-order, for the triple bound and every r.  Where _packs(n, r) holds it
-reads every subset's sum from one byte of one integer.  No sum exceeds
-C(r, 2)*diam, so it searches r's bytes for each value from there down:
-the first value found is the maximum, and the index of its first byte
-into _subsets(n, r) gives the witness.  Elsewhere it scans the subsets in
-that order.  One product per graph packs the sums of every r that packs at its
-order: the pair distances DistanceMatrix.pair_dists times a cached table
-per order n, laid out r by r in that order; the pairs at distance 1 are
-read from the sum of the table's ints, which the table keeps as its last
-field, so the product touches only the pairs at distance 2 or more.
+order, for the triple bound and every r.  At the orders up to
+graphs._BYTE_MAX_N = 8, the one-byte order of the graph6 tables and the
+distance matrix, it reads every subset's sum from one byte of one
+integer.  No sum exceeds C(r, 2)*diam, at most C(8, 2)*7 = 196, so it
+searches r's bytes for each value from there down: the first value found
+is the maximum, and the subset at its first byte, which the table keeps
+next to r's bytes, is the witness.  At every larger order it scans the
+subsets in that order.  One product per graph packs the sums of every r
+in 3..n: the pair distances DistanceMatrix.pair_dists times a cached
+table per order n, laid out r by r in that order; the pairs at distance
+1 are read from the sum of the table's ints, which the table keeps as its
+last field, so the product touches only the pairs at distance 2 or more.
 _packed_product keeps the last product in a one-entry memo keyed on the
-order and the pair distances, so the triple bound and every packed
-r-subset bound of a report, which run back to back, read the same bytes.
+order and the pair distances, so the triple bound and every r-subset
+bound of a report, which run back to back, read the same bytes.
 triple_equality_analysis scans the triples for those that attain
 6*gamma, and only when 6*gamma <= 3*diam.
 
@@ -63,7 +65,7 @@ from typing import NamedTuple, Sequence
 from .distance import DistanceMatrix, all_pairs_distances
 from .domination import gamma_exact
 from .errors import BadR
-from .graphs import Graph, encode_graph6
+from .graphs import _BYTE_MAX_N, Graph, encode_graph6
 
 BOUND_DIAMETER = "diameter"
 BOUND_TRIPLE = "triple"
@@ -75,9 +77,6 @@ VIOLATION_SPADE = "boundary-ecc-spade"  # the boundary-ecc triple-distance diagn
 
 DEFAULT_RS = (3, 4, 5)
 DEFAULT_SUBSET_BUDGET = 200_000  # r-subset search runs iff C(n, r) fits
-# the r-subset sums are packed only while C(n, 2)*C(n, r) fits: the measured
-# crossover of the packed sums and the scan for r = 3, the first r to cross
-PACKED_LIMIT = 1 << 17
 
 
 _R_SUBSET = "r-subset:"
@@ -161,65 +160,35 @@ def diameter_lb(gamma: int, dm: DistanceMatrix) -> BoundCheck:
     )
 
 
-@cache
-def _packs(n: int, r: int) -> bool:
-    """Whether _max_pair_sum packs the r-subset sums of order n: iff
-    C(n, 2)*C(n, r) <= PACKED_LIMIT and every sum fits one byte.
-
-    An r-subset's sum is at most C(r, 2)*(n-1), each distance being at most
-    n-1, and at most W(P_n) = (n^3-n)/6, the largest Wiener index of a
-    connected graph of order n; the latter is at most 255 iff n <= 11.
-    59 pairs (n, r) pack, all with n <= 18.
-
-    The answer depends on (n, r) alone, so it is cached: one bool per pair
-    a process meets, with r <= n.  Callers look it up through the module,
-    so a test can replace it.
-    """
-    return (math.comb(n, 2) * math.comb(n, r) <= PACKED_LIMIT
-            and ((n ** 3 - n) // 6 <= 255 or math.comb(r, 2) * (n - 1) <= 255))
-
-
 def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     """Largest pairwise-distance sum over all r-subsets (3 <= r <= n), and
     the lexicographically first r-subset attaining it.
 
-    Where _packs(n, r) the sums are r's bytes of the packed product (see
-    _packed_product).  No pair distance exceeds diam, so no sum exceeds
-    C(r, 2)*diam: the byte values are searched from there down, and the
-    first one found is the maximum, at the byte of the first subset
-    holding it, which is the witness.  Every sum is at least C(r, 2), so
-    the search ends there at the latest.  Elsewhere the subsets are
-    scanned in that order.
+    Up to order _BYTE_MAX_N the sums are r's bytes of the packed product
+    (see _packed_product).  No pair distance exceeds diam, so no sum
+    exceeds C(r, 2)*diam, which is at most 196 there: the byte values are
+    searched from there down, and the first one found is the maximum, at
+    the byte of the first subset holding it, which is the witness.  Every
+    sum is at least C(r, 2), so the search ends there at the latest.  At
+    every larger order the subsets are scanned in that order.
     """
     n = dm.n
-    if not _packs(n, r):
+    if n > _BYTE_MAX_N:
         return _scan_pair_sums(dm.d, r)
-    sums = _packed_product(n, dm.pair_dists)[_packed_table(n)[1][r]]
-    # _packs holds every sum to one byte, and find takes a byte value
-    best = min(255, r * (r - 1) // 2 * dm.diam)
+    span, subsets = _packed_table(n)[1][r]
+    sums = _packed_product(n, dm.pair_dists)[span]
+    best = r * (r - 1) // 2 * dm.diam
     while (at := sums.find(best)) < 0:
         best -= 1
-    return best, _subsets(n, r)[at]
-
-
-@cache
-def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Every r-subset of range(n) in itertools.combinations order, the
-    order of the packed sums' bytes.
-
-    Only _max_pair_sum's packed path calls it, so it keeps at most the 59
-    pairs (n, r) that _packs admits: 13,184 tuples, about 1.1 MB if a
-    process meets them all.
-    """
-    return tuple(combinations(range(n), r))
+    return best, subsets[at]
 
 
 @lru_cache(maxsize=1)
 def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
-    """S(X) for every r-subset X of every r that packs at order n, one byte
-    each, r by r in lexicographic order: byte f of sum(d(p) * fields[p])
-    over the vertex pairs p, with the table of _packed_table(n), is the sum
-    of the subset at byte f.
+    """S(X) for every r-subset X of every r in 3..n, at an order n up to
+    _BYTE_MAX_N, one byte each, r by r in lexicographic order: byte f of
+    sum(d(p) * fields[p]) over the vertex pairs p, with the table of
+    _packed_table(n), is the sum of the subset at byte f.
 
     Every distance is at least 1, so the sum is the table's base, the sum
     of every field, plus (d(p) - 1) * fields[p] over the pairs at distance
@@ -240,19 +209,22 @@ def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
 
 
 @cache
-def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int, int]:
-    """The packed table of order n: one int per vertex pair, in the order
-    of DistanceMatrix.pair_dists, then the bytes of each r, the byte count
-    and the base, the sum of the pairs' ints.  For each r with
-    _packs(n, r), in increasing order, the table holds one byte per
-    r-subset in lexicographic order, and byte f of a pair's int is 1 iff
-    the pair lies in the subset at byte f; byte f of the base is C(r, 2),
-    the pairs of the subset at byte f.
+def _packed_table(n: int) -> tuple[tuple[int, ...],
+                                   dict[int, tuple[slice, tuple[tuple[int, ...], ...]]],
+                                   int, int]:
+    """The packed table of order n <= _BYTE_MAX_N: one int per vertex
+    pair, in the order of DistanceMatrix.pair_dists, then per r the span
+    of its bytes and its subsets, the byte count and the base, the sum of
+    the pairs' ints.  For each r in 3..n, in increasing order, the table
+    holds one byte per r-subset, in the itertools.combinations order of
+    r's subsets, and byte f of a pair's int is 1 iff the pair lies in the
+    subset at byte f; byte f of the base is C(r, 2), the pairs of the
+    subset at byte f.
 
     Memory: the cache is filled lazily, so importing the package builds no
-    table, and it keeps every table built: the 16 orders that pack, which
-    hold the 59 pairs (n, r) that _packs admits, take under 1e6 bytes
-    together, their bases included.
+    table.  Only _max_pair_sum's packed path reads it, so it keeps at most
+    the 7 orders 2..8; their tables, subsets and bases take under 1e5
+    bytes together.
     """
     # byte f of members[v] is 1 iff v is in the subset at byte f, so a
     # pair's int is the AND of its two vertices' ints
@@ -260,15 +232,14 @@ def _packed_table(n: int) -> tuple[tuple[int, ...], dict[int, slice], int, int]:
     spans = {}
     size = 0
     for r in range(3, n + 1):
-        if not _packs(n, r):
-            continue
-        spans[r] = slice(size, size + math.comb(n, r))
+        subsets = tuple(combinations(range(n), r))
+        spans[r] = slice(size, size + len(subsets)), subsets
         for m in members:
-            m.extend(bytes(math.comb(n, r)))
-        for at, subset in enumerate(combinations(range(n), r), size):
+            m.extend(bytes(len(subsets)))
+        for at, subset in enumerate(subsets, size):
             for v in subset:
                 members[v][at] = 1
-        size = spans[r].stop
+        size += len(subsets)
     ints = [int.from_bytes(m, "little") for m in members]
     fields = tuple(starmap(and_, combinations(ints, 2)))
     return fields, spans, size, sum(fields)

@@ -55,8 +55,9 @@ if TYPE_CHECKING:
 GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_MAX_N = 62  # short form only
 # the largest order whose closed masks fit in one byte: parse_graph6 decodes
-# these through _graph6_tables, and distance.all_pairs_distances measures
-# them by its byte matrix
+# these through _graph6_tables, distance.all_pairs_distances measures them
+# by its byte matrix, and bounds._max_pair_sum reads their r-subset sums
+# from one packed byte each
 _BYTE_MAX_N = 8
 # str.strip() also strips \x1c-\x1f, \x85 and other Unicode spaces, none
 # of which graph6 (bytes 63-126) gives a meaning to

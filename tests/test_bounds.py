@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domdist import bounds
+from domdist import bounds, distance, graphs
 from domdist.bounds import (
     DEFAULT_SUBSET_BUDGET,
     BoundCheck,
     TripleEquality,
     _max_pair_sum,
-    _packs,
     assemble_report,
     average_distance_lb,
     best_triple_lb,
@@ -192,10 +191,11 @@ class TestRSubsetBound:
     @pytest.mark.parametrize("r", [4.0, "4"], ids=["float", "str"])
     def test_non_int_r_raises_bad_r_before_any_cache(self, r):
         dm = _dm(path_graph(8))
-        filled = [bounds._packs.cache_info(), bounds._subsets.cache_info()]
+        filled = [bounds._packed_table.cache_info(), bounds._packed_product.cache_info()]
         with pytest.raises(BadR):
             r_subset_lb(2, dm, r)
-        assert [bounds._packs.cache_info(), bounds._subsets.cache_info()] == filled
+        assert [bounds._packed_table.cache_info(),
+                bounds._packed_product.cache_info()] == filled
 
     def test_r5_exhaustive_up_to_the_budget(self):
         # C(31, 5) = 169,911 fits the budget.  On a path the sum for
@@ -283,8 +283,8 @@ class TestMaxPairSumKernel:
 
 
 class TestPackedAndScannedSides:
-    """_max_pair_sum packs the sums where _packs(n, r) holds and scans
-    elsewhere; both sides against plain enumeration, value and first
+    """_max_pair_sum packs the sums up to order _BYTE_MAX_N = 8 and scans
+    above it; both sides against plain enumeration, value and first
     witness."""
 
     def test_packed_side_every_r_on_every_small_graph(self, corpus):
@@ -292,38 +292,38 @@ class TestPackedAndScannedSides:
             for g in corpus(n):
                 dm = _dm(g)
                 for r in range(3, n + 1):
-                    assert _packs(n, r)
+                    assert r in bounds._packed_table(n)[1]
                     assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (g, r)
 
     @pytest.mark.parametrize("r", [4, 5, 17])
     @pytest.mark.parametrize("g", [complete_graph(20), cycle_graph(20), star_graph(19)],
                              ids=["K20", "C20", "K1_19"])
     def test_scan_side(self, g, r):
-        assert not _packs(g.n, r)
+        assert g.n > bounds._BYTE_MAX_N
         dm = _dm(g)
         assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r)
 
-    @pytest.mark.parametrize("n, r, value, packed", [
-        (11, 11, 220, True),
-        (12, 8, 148, False),
-        (64, 63, 42656, False),
-        (512, 512, 22369536, False),
+    @pytest.mark.parametrize("n, r, value", [
+        (11, 11, 220),
+        (12, 8, 148),
+        (64, 63, 42656),
+        (512, 512, 22369536),
     ], ids=["11-11", "12-8", "64-63", "512-512"])
-    def test_widest_fields_on_paths(self, n, r, value, packed):
-        # a path's sums are the largest of its order, and its Wiener index
-        # (n^3-n)/6 fits a byte up to n = 11; from n = 12 the proven bound
-        # does not, so these are scanned although PACKED_LIMIT admits them
-        assert math.comb(n, 2) * math.comb(n, r) <= bounds.PACKED_LIMIT
-        assert _packs(n, r) is packed
+    def test_widest_fields_on_paths(self, n, r, value):
+        # a path's sums are the largest of its order, from 220, which fits
+        # a byte, to far past one; all four orders are scanned
+        assert n > bounds._BYTE_MAX_N
         dm = _dm(path_graph(n))
         found = _max_pair_sum(dm, r)
         assert found[0] == value
         assert found == _first_max_pair_sum(dm, r)
 
 
-# every packed (n, r) above the orders the corpus test covers; r < n packs
-# only up to n = 64 (see TestPackedTableCache.test_bounded)
-_PACKED_ABOVE_SEVEN = [(n, r) for n in range(8, 65) for r in range(3, n + 1) if _packs(n, r)]
+# the largest r per order n >= 8 that a wider packing rule, which packed
+# while C(n, 2)*C(n, r) <= 2^17 and every sum fit one byte, sent to the
+# packed sums: these (n, r) are kept as cases, though only n = 8 packs now
+_LAST_PACKED_R = {8: 8, 9: 9, 10: 10, 11: 11, 12: 7, 13: 5, 14: 4, 15: 3, 16: 3, 17: 3, 18: 3}
+_PACKED_ABOVE_SEVEN = [(n, r) for n, last in _LAST_PACKED_R.items() for r in range(3, last + 1)]
 
 
 def _random_connected(n, seed):
@@ -335,8 +335,9 @@ def _random_connected(n, seed):
 
 
 class TestEveryPackedTableAboveSeven:
-    """Each packed table with n >= 8 against plain enumeration, up to the
-    last rank of the largest one (C(13, 5) = 1287 subsets)."""
+    """Each (n, r) with n >= 8 of the wider packing rule against plain
+    enumeration, packed at n = 8 and scanned above, up to the last rank of
+    the largest (C(13, 5) = 1287 subsets)."""
 
     def test_pairs(self):
         assert len(_PACKED_ABOVE_SEVEN) == 44
@@ -353,9 +354,10 @@ class TestEveryPackedTableAboveSeven:
 def _max_and_index(dm, r):
     """The packed sums' maximum by max() and its first byte by index(): what
     _max_pair_sum's search from C(r, 2)*diam down must find."""
-    sums = bounds._packed_product(dm.n, dm.pair_dists)[bounds._packed_table(dm.n)[1][r]]
+    span, subsets = bounds._packed_table(dm.n)[1][r]
+    sums = bounds._packed_product(dm.n, dm.pair_dists)[span]
     best = max(sums)
-    return best, bounds._subsets(dm.n, r)[sums.index(best)]
+    return best, subsets[sums.index(best)]
 
 
 class TestPackedByteSearch:
@@ -369,8 +371,8 @@ class TestPackedByteSearch:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_packed_pair_on_random_graphs(self, seed):
-        pairs = [(n, r) for n in range(3, 19) for r in range(3, n + 1) if _packs(n, r)]
-        assert len(pairs) == 59
+        pairs = [(n, r) for n in range(3, bounds._BYTE_MAX_N + 1) for r in range(3, n + 1)]
+        assert len(pairs) == 21
         for n, r in pairs:
             for g in (_random_connected(n, seed=seed * 10_000 + n * 100 + r),
                       path_graph(n), complete_graph(n)):
@@ -402,52 +404,66 @@ class TestPackedTableCache:
         assert done.returncode == 0, done.stderr
         sizes = dict(line.split() for line in done.stdout.splitlines())
         assert "domdist.bounds._packed_table" in sizes and "domdist.graphs._graph6_pairs" in sizes
+        assert len(sizes) == 8
         assert {name: size for name, size in sizes.items() if size != "0"} == {}
 
     def test_bounded(self):
-        """Under _packed_table's bound: the tables of the 16 orders that
-        pack, which hold all 59 pairs (n, r) that _packs admits, every one
-        with n <= 18, take under 1e6 bytes together, their bases included."""
-        # r < n packs only up to n = 64, as C(n, r) >= n there, and r = n
-        # only up to n = 11, where a sum of W(P_n) = (n^3-n)/6 fits a byte
-        assert not _packs(65, 64) and not _packs(12, 12)
-        pairs = [(n, r) for n in range(3, 65) for r in range(3, n + 1) if _packs(n, r)]
-        assert len(pairs) == 59 and max(n for n, _ in pairs) == 18
-        orders = sorted({n for n, _ in pairs})
-        assert orders == list(range(3, 19))
+        """Under _packed_table's bound: the tables of the 7 orders 2..8,
+        the only orders that pack, take under 1e5 bytes together, each r's
+        subsets and the bases included."""
+        orders = range(2, bounds._BYTE_MAX_N + 1)
         bounds._packed_table.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
             for n in orders:
                 fields, spans, size, base = bounds._packed_table(n)
-                rs = [r for m, r in pairs if m == n]
+                rs = list(range(3, n + 1))
                 assert list(spans) == rs and len(fields) == math.comb(n, 2)
-                assert [s.stop - s.start for s in spans.values()] == [math.comb(n, r) for r in rs]
+                assert [(s.stop - s.start, len(subsets)) for s, subsets in spans.values()] == [
+                    (math.comb(n, r), math.comb(n, r)) for r in rs]
                 assert size == sum(math.comb(n, r) for r in rs)
                 assert base == sum(fields)
             held = tracemalloc.get_traced_memory()[0]
+            assert bounds._packed_table.cache_info().currsize == len(orders)
         finally:
             tracemalloc.stop()
             bounds._packed_table.cache_clear()
-        assert held < 1e6
+        assert list(spans) == list(range(3, 9)) and size == 219
+        assert held < 1e5
 
     def test_subsets_are_the_combinations_order(self):
-        """For every packed (n, r), _subsets(n, r) lists the r-subsets in
-        the order of the packed bytes, so the witness _max_pair_sum reads
-        from it is the first maximiser."""
-        pairs = [(n, r) for n in range(3, 19) for r in range(3, n + 1) if _packs(n, r)]
-        assert len(pairs) == 59
-        bounds._subsets.cache_clear()
+        """For every packed (n, r), the table lists the r-subsets in the
+        order of the packed bytes, so the witness _max_pair_sum reads from
+        it is the first maximiser."""
+        pairs = [(n, r) for n in range(3, bounds._BYTE_MAX_N + 1) for r in range(3, n + 1)]
+        assert len(pairs) == 21
+        for n, r in pairs:
+            span, subsets = bounds._packed_table(n)[1][r]
+            assert subsets == tuple(combinations(range(n), r))
+            assert span.stop - span.start == len(subsets)
+            dm = _dm(_random_connected(n, seed=n * 100 + r))
+            assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (n, r)
+        assert sum(len(bounds._packed_table(n)[1][r][1]) for n, r in pairs) == 382
+
+    def test_one_byte_order_for_every_kernel(self):
+        """The graph6 tables, the distance matrix and the packed sums switch
+        at one order: a graph of order 8 builds each table at order 8, one
+        of order 9 builds none of them."""
+        caches = (graphs._graph6_tables, distance._matrix_table, bounds._packed_table)
+        for cache in caches:
+            cache.cache_clear()
         try:
-            for n, r in pairs:
-                assert bounds._subsets(n, r) == tuple(combinations(range(n), r))
-                dm = _dm(_random_connected(n, seed=n * 100 + r))
-                assert _max_pair_sum(dm, r) == _first_max_pair_sum(dm, r), (n, r)
-            assert bounds._subsets.cache_info().currsize == len(pairs)
-            assert sum(len(bounds._subsets(n, r)) for n, r in pairs) == 13184
+            for n in (8, 9):
+                g = parse_graph6(encode_graph6(path_graph(n)))
+                assert assemble_report(g).n == n
+                for cache in caches:
+                    before = cache.cache_info()
+                    cache(8)  # a hit: the one entry is order 8
+                    assert (before.currsize, cache.cache_info().misses) == (1, before.misses)
         finally:
-            bounds._subsets.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
 
     def test_product_memo_is_keyed_on_the_distances(self):
         """Two matrices of one order, alternated through the triple bound and
@@ -455,7 +471,7 @@ class TestPackedTableCache:
         the memo keeps one product."""
         assert bounds._packed_product.cache_info().maxsize == 1
         dms = [_dm(path_graph(8)), _dm(star_graph(7))]
-        assert dms[0].n == dms[1].n == 8 and all(_packs(8, r) for r in (3, 4, 5))
+        assert dms[0].n == dms[1].n == 8 <= bounds._BYTE_MAX_N
         for _ in range(2):
             for dm in dms:
                 check = best_triple_lb(2, dm)
@@ -725,9 +741,9 @@ class TestHashableReports:
 
 
 def _scanned(build):
-    """build() with _packs false for every (n, r), so every sum is scanned."""
+    """build() with every order above bounds._BYTE_MAX_N, so every sum is scanned."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "_packs", lambda n, r: False)
+        mp.setattr(bounds, "_BYTE_MAX_N", 1)
         return build()
 
 
