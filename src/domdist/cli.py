@@ -130,8 +130,8 @@ def _cmd_verify(args) -> int:
     for token, name in summary.violation_details:
         print(f"  {token}: {name}")
     print("equality counts:")
-    for name in sorted(summary.equality_counts):
-        print(f"  {name:<18} {summary.equality_counts[name]}")
+    for name in sorted(summary.equalities):
+        print(f"  {name:<18} {len(summary.equalities[name])}")
     print(f"elapsed: {summary.elapsed:.3f}s")
     if summary.budget_skipped:
         print(f"budget-skipped: {summary.budget_skipped}", file=sys.stderr)

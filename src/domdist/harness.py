@@ -58,7 +58,9 @@ class CorpusSummary:
     skipped: int = 0
     budget_skipped: int = 0  # checks skipped for the r-subset budget
     violations: int = 0
-    equality_counts: dict[str, int] = field(default_factory=dict)
+    # per checked bound, the tokens of the graphs whose check is an
+    # equality, in input order; a bound no graph was checked for has no key
+    equalities: dict[str, list[str]] = field(default_factory=dict)
     violation_details: list[tuple[str, str]] = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)
     elapsed: float = 0.0
@@ -121,7 +123,7 @@ def run_corpus_verify(
     path: str, *, fmt: str = FORMAT_GRAPH6, rs: tuple[int, ...] = DEFAULT_RS,
     strict: bool = False, jsonl_path: str | None = None,
 ) -> CorpusSummary:
-    """Analyze every corpus graph, tally equalities, and count bound violations.
+    """Analyze every corpus graph, list equalities, and count bound violations.
 
     In strict mode a malformed entry aborts the run by raising, after the
     reports before it are written; otherwise it is counted as skipped and
@@ -157,9 +159,9 @@ def run_corpus_verify(
                     if c.skipped_reason == "budget":
                         summary.budget_skipped += 1
                     continue
-                summary.equality_counts.setdefault(c.name, 0)
+                tokens = summary.equalities.setdefault(c.name, [])
                 if c.margin == 0:
-                    summary.equality_counts[c.name] += 1
+                    tokens.append(token)
             if jsonl is not None:
                 jsonl.write(report.jsonl_line() + "\n")
     finally:
@@ -203,22 +205,13 @@ def scan_tight_instances(
     """Tokens of the corpus graphs whose report shows equality for the named
     bound, in input order; the number of malformed entries skipped; and the
     number of graphs whose check for that bound was skipped for budget.
-    The reports scan only the r-subset size the bound names, if any.
+    All three are read from run_corpus_verify's summary, whose reports scan
+    only the r-subset size the bound names, if any.
     """
     name = canonical_bound_name(bound)
     rs = (int(name.split(":")[1]),) if name.startswith("r-subset:") else ()
-    tight: list[str] = []
-    skipped = budget_skipped = 0
-    for _, token, graph in iter_corpus(path, fmt):
-        if isinstance(graph, GraphInputError):
-            skipped += 1
-            continue
-        check = assemble_report(graph, rs=rs, graph_id=token).check(name)
-        if check.equality:
-            tight.append(token)
-        elif check.skipped_reason == "budget":
-            budget_skipped += 1
-    return tight, skipped, budget_skipped
+    summary = run_corpus_verify(path, fmt=fmt, rs=rs)
+    return summary.equalities.get(name, []), summary.skipped, summary.budget_skipped
 
 
 # Counterexample to the claim that a diametral path contains at most

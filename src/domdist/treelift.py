@@ -107,8 +107,8 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
     oracle, which shares no search code with the lift's gamma_exact and never
     reads the gamma kept on g; above the cap it is gamma_exact itself.  Tree
     edges and M are checked to be ints of 0..n-1 before any mask is read, so
-    malformed input gives NotSubgraph or MNotDominating instead of an
-    exception.
+    malformed input, tree_edges that are no iterable of pairs included,
+    gives NotSubgraph or MNotDominating instead of an exception.
     """
     try:
         mset = frozenset(m)
@@ -116,16 +116,16 @@ def verify_lift(g: Graph, lift: SpanningTreeLift, m: Iterable[int]) -> LiftCheck
         return LiftCheck(False, "MNotDominating")
     n = g.n
     tree_masks = [1 << v for v in range(n)]
-    for edge in lift.tree_edges:
-        try:
-            u, v = edge
+    try:  # read once, so an iterator verifies like the tuple it yields
+        tree_edges = tuple(lift.tree_edges)
+        for u, v in tree_edges:
             if not g.has_edge(u, v):
                 return LiftCheck(False, "NotSubgraph")
-        except (TypeError, ValueError):  # not a pair
-            return LiftCheck(False, "NotSubgraph")
-        tree_masks[u] |= 1 << v
-        tree_masks[v] |= 1 << u
-    if len(lift.tree_edges) != n - 1:
+            tree_masks[u] |= 1 << v
+            tree_masks[v] |= 1 << u
+    except (TypeError, ValueError):  # not an iterable of pairs
+        return LiftCheck(False, "NotSubgraph")
+    if len(tree_edges) != n - 1:
         return LiftCheck(False, "NotSpanningTree")
     try:
         # n - 1 edges of g, so connected means a tree; a repeated edge

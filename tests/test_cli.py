@@ -12,6 +12,7 @@ import pytest
 import domdist
 from domdist import bounds, cli, treelift
 from domdist.cli import build_parser, main
+from domdist.harness import scan_tight_instances
 
 import corpusgen
 
@@ -368,6 +369,39 @@ class TestTight:
         with pytest.raises(SystemExit) as exc:
             main(["tight", n4_corpus, "--bound", "r-subset:4", "--r", "3"])
         assert exc.value.code == 2
+
+
+class TestTightAgreesWithVerify:
+    """tight lists what verify reports: the equalities of its JSONL records,
+    and its skip and budget-skip counts."""
+
+    @pytest.fixture(scope="class")
+    def n7_records(self, tmp_path_factory):
+        jsonl = tmp_path_factory.mktemp("n7") / "n7.jsonl"
+        assert main(["verify", str(corpusgen.corpus_path(7)), "--jsonl", str(jsonl)]) == 0
+        return [json.loads(line) for line in jsonl.read_text().splitlines()]
+
+    @pytest.mark.parametrize("bound", [
+        "diameter", "triple", "r-subset:3", "r-subset:4", "r-subset:5",
+        "average-distance", "boundary-ecc",
+    ])
+    def test_tight_tokens_are_the_jsonl_equalities(self, n7_records, bound):
+        expected = [rec["graph"] for rec in n7_records for c in rec["bounds"]
+                    if c["bound"] == bound and c.get("equality")]
+        assert scan_tight_instances(str(corpusgen.corpus_path(7)), bound)[0] == expected
+
+    def test_skip_counts_match_verify(self, tmp_path, capsys):
+        # a 32-vertex path, over the r = 5 subset budget; K2; a malformed block
+        path = tmp_path / "mixed.el"
+        path.write_text("n 32\n" + "".join(f"{i} {i + 1}\n" for i in range(31))
+                        + "\nn 2\n0 1\n\nn 2\n0 5\n")
+        assert main(["tight", str(path), "--format", "edgelist", "--bound", "r-subset:5"]) == 0
+        tight = capsys.readouterr()
+        assert (tight.out, tight.err) == ("", "skipped: 1\nbudget-skipped: 1\n")
+        assert main(["verify", str(path), "--format", "edgelist", "--r", "5"]) == 0
+        verify = capsys.readouterr()
+        assert "skipped:   1\n" in verify.out
+        assert verify.err == "budget-skipped: 1\n"
 
 
 class TestLift:

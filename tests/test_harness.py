@@ -40,7 +40,7 @@ class TestRunCorpusVerify:
         assert summary.graphs_processed == 1
         # K3: diam 1, gamma 1, ceil(2/3) = 1, so the diameter bound is tight
         assert scan_tight_instances(str(corpus), "diameter")[0] == ["Bw"]
-        assert summary.equality_counts["diameter"] == 1
+        assert len(summary.equalities["diameter"]) == 1
 
     def test_malformed_line_skipped_when_not_strict(self, tmp_path):
         corpus = tmp_path / "bad.g6"
@@ -102,7 +102,7 @@ class TestRunCorpusVerify:
         summary = run_corpus_verify(str(corpus), fmt="edgelist")
         assert (summary.graphs_processed, summary.skipped) == (2, 0)
         assert summary.budget_skipped == 1
-        assert "r-subset:5" not in summary.equality_counts
+        assert "r-subset:5" not in summary.equalities
 
     def test_jsonl_output_is_deterministic(self, n4_corpus, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

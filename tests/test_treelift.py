@@ -170,6 +170,20 @@ class TestVerifyLift:
         assert not check
         assert check.reason == "NotSubgraph"
 
+    @pytest.mark.parametrize("make_edges, reason", [
+        (lambda edges: None, "NotSubgraph"),
+        (lambda edges: 5, "NotSubgraph"),
+        (lambda edges: iter(edges), None),
+        (lambda edges: iter(edges[1:]), "NotSpanningTree"),
+    ], ids=["none", "int", "iterator", "short-iterator"])
+    def test_tree_edges_that_are_no_tuple(self, make_edges, reason):
+        # read once: an iterator verifies like its tuple, a non-iterable is no subgraph
+        g = cycle_graph(4)
+        lift = lift_gamma_set_to_spanning_tree(g, (0, 2))
+        tampered = dataclasses.replace(lift, tree_edges=make_edges(lift.tree_edges))
+        check = verify_lift(g, tampered, (0, 2))
+        assert (check.ok, check.reason) == (reason is None, reason)
+
     @pytest.mark.parametrize("m", [(0, 9), (0, -1), (1, 2.0), (1, "a"), ([0], 2)])
     def test_set_outside_graph_is_not_dominating(self, m):
         g = cycle_graph(4)
