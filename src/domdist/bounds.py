@@ -30,8 +30,10 @@ last field, so the product touches only the pairs at distance 2 or more.
 _packed_product keeps the last product in a one-entry memo keyed on the
 order and the pair distances, so the triple bound and every r-subset
 bound of a report, which run back to back, read the same bytes.
-triple_equality_analysis scans the triples for those that attain
-6*gamma, and only when 6*gamma <= 3*diam.
+triple_equality_analysis finds the triples that attain 6*gamma, and only
+when 6*gamma <= 3*diam: up to order _BYTE_MAX_N it finds every byte equal
+to 6*gamma in r = 3's bytes of the same packed product, in the order of
+the triples, and at every larger order it scans the triples.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, with the reduced fractions, the small
@@ -289,8 +291,13 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
     """Every triple attaining 6*gamma, in lexicographic order, each distance
     checked for = 2 (mod 3).
 
-    A witness with a distance not congruent to 2 mod 3 contradicts the
-    equality corollary and is treated as fatal by report assembly.
+    Up to order _BYTE_MAX_N the triples are the bytes equal to 6*gamma in
+    r = 3's bytes of the packed product (see _packed_product), found with
+    bytes.find; every sum is at least 3, and find takes no negative value,
+    so a 6*gamma below 3 finds none without a search.  At every larger
+    order the triples are scanned.  A witness with a distance not
+    congruent to 2 mod 3 contradicts the equality corollary and is treated
+    as fatal by report assembly.
     """
     target = 6 * gamma
     if target > 3 * dm.diam:
@@ -298,6 +305,19 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
     n = dm.n
     d = dm.d
     found = []
+    if n <= _BYTE_MAX_N:
+        if target < 3:
+            return ()
+        span, triples = _packed_table(n)[1][3]
+        sums = _packed_product(n, dm.pair_dists)[span]
+        at = sums.find(target)
+        while at >= 0:
+            i, j, k = triple = triples[at]
+            dists = dij, dik, djk = d[i][j], d[i][k], d[j][k]
+            found.append(_record(TripleEquality, (
+                triple, dists, dij % 3 == dik % 3 == djk % 3 == 2)))
+            at = sums.find(target, at + 1)
+        return tuple(found)
     for i in range(n - 2):
         di = d[i]
         for j in range(i + 1, n - 1):
@@ -305,9 +325,9 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
             need = target - di[j]
             for k in range(j + 1, n):
                 if di[k] + dj[k] == need:
-                    dists = (di[j], di[k], dj[k])
+                    dists = dij, dik, djk = di[j], di[k], dj[k]
                     found.append(_record(TripleEquality, (
-                        (i, j, k), dists, all(x % 3 == 2 for x in dists))))
+                        (i, j, k), dists, dij % 3 == dik % 3 == djk % 3 == 2)))
     return tuple(found)
 
 

@@ -3,9 +3,12 @@
 all_pairs_distances builds only what the bounds read: the distance rows,
 the pair distances in the layout of the packed r-subset tables, W(G), the
 first diametral pair, and the boundary with its set eccentricity.  The set
-eccentricity ecc(B) is the largest entry of the column minimum of the
-boundary rows, and its witness the lowest vertex holding it; when B is
-every vertex, ecc(B) is 0 without a scan.
+eccentricity ecc(B) comes from one BFS over the closed masks that starts
+from every boundary vertex at once: ecc(B) is the number of levels after
+the first, and its witness the lowest vertex of the last level.  It is the
+largest entry of the column minimum of the boundary rows, and the lowest
+vertex holding it, without reading the rows; when B is every vertex, the
+BFS stops at once with ecc(B) = 0 and witness 0.
 
 Two kernels give the rows, the pair distances, the diameter and the
 boundary; all_pairs_distances picks one by the order alone:
@@ -86,7 +89,8 @@ _Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int,
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """The distance rows, then every invariant from them.
+    """The distance rows, then every invariant from them, and ecc(B) from
+    one BFS from the boundary.
 
     Orders up to _BYTE_MAX_N take _matrix_distances, larger ones
     _bfs_distances; both give the rows as tuples of ints, the pair
@@ -94,22 +98,36 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     by Graph.
     """
     n = g.n
+    masks = g.closed_masks
     if n <= _BYTE_MAX_N:
-        rows, pair_dists, diam, boundary = _matrix_distances(g.closed_masks, n)
+        rows, pair_dists, diam, boundary = _matrix_distances(masks, n)
     else:
-        rows, pair_dists, diam, boundary = _bfs_distances(g.closed_masks, n)
+        rows, pair_dists, diam, boundary = _bfs_distances(masks, n)
     # the lowest boundary vertex u starts the first diametral pair, and its
     # first partner v is above u, since a partner is a boundary vertex too
     u = boundary[0]
-    if len(boundary) == n:
-        # B = V: every vertex is at distance 0 from B.  B never has fewer
-        # than two vertices, both ends of a diametral pair.
-        r_ecc = z = 0
-    else:
-        # column v of the boundary rows holds d(b, v) for every b in B
-        to_boundary = list(map(min, *(rows[b] for b in boundary)))
-        r_ecc = max(to_boundary)
-        z = to_boundary.index(r_ecc)
+    # one BFS from all of B, over the closed masks: level holds the
+    # vertices at distance r_ecc from B, seen those within it, and reach
+    # the closed neighborhood of level
+    level = reach = 0
+    for b in boundary:
+        level |= 1 << b
+        reach |= masks[b]
+    seen = level
+    full = (1 << n) - 1
+    r_ecc = 0
+    while seen != full:
+        level = reach & ~seen
+        seen |= level
+        r_ecc += 1
+        if seen != full:  # the last level reaches no new vertex
+            reach = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                reach |= masks[low.bit_length() - 1]
+                rest ^= low
+    z = (level & -level).bit_length() - 1
     # every field in order: n, d, diam, wiener, pair_dists, diametral_pair,
     # boundary_info
     return tuple.__new__(DistanceMatrix, (

@@ -2,7 +2,8 @@
 
 Closed neighborhoods are fixed-width bit masks over the vertices, so a
 domination test is a mask union.  gamma_exact runs a branch-and-bound on the
-set-cover formulation, pruned only by a counting bound;
+set-cover formulation, pruned only by a packing bound (vertices whose
+closed neighborhoods are pairwise disjoint each need their own dominator);
 gamma_bruteforce_oracle enumerates subsets by increasing size.  The oracle
 shares its subset loop, _dominating_sets, only with
 enumerate_min_dominating_sets, and nothing but the masks with the solver,
@@ -74,10 +75,16 @@ def gamma_exact(g: Graph) -> DominationResult:
     Branching: take an uncovered vertex with the fewest coverage options
     (its closed neighborhood; ties to the lowest index) and branch on which
     neighbor covers it, lowest first.  A greedy cover seeds the incumbent.  A
-    branch is cut when |chosen| + ceil(|uncovered| / max gain) reaches the
-    incumbent, where max gain is the most uncovered vertices one closed
-    neighborhood covers.  The search is a loop over an explicit stack, so its
-    depth is not bounded by the recursion limit.
+    branch is cut by a packing bound: walking the uncovered vertices in
+    that same order, keep each one whose closed neighborhood misses those
+    of the vertices kept so far.  The kept vertices are a 2-packing (Meir &
+    Moon, Pacific J. Math. 61, 1975): no vertex dominates two of them and no
+    chosen vertex dominates any, so a branch is cut as soon as
+    |chosen| + kept reaches the incumbent.  The bound never cuts a branch
+    that holds a smaller set, so the witness is the first minimum set in
+    preorder, or the greedy set when that is already minimum.  The search
+    is a loop over an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     if g._gamma is None:
         object.__setattr__(g, "_gamma", _branch_and_bound(g))
@@ -93,6 +100,10 @@ def _branch_and_bound(g: Graph) -> DominationResult:
     best_size = len(greedy)
     best_set = tuple(sorted(greedy))
 
+    # the vertices by closed degree, ties to the lowest index (sorted is
+    # stable): the first uncovered one is the branching vertex, and the
+    # packing takes them in this order
+    order = sorted(range(n), key=[m.bit_count() for m in masks].__getitem__)
     # (covered mask, chosen) nodes; children pushed highest first pop in preorder
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
@@ -102,21 +113,27 @@ def _branch_and_bound(g: Graph) -> DominationResult:
                 best_size = len(chosen)
                 best_set = tuple(sorted(chosen))
             continue
-        uncovered = full & ~covered
-        max_gain = max((m & uncovered).bit_count() for m in masks)
-        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= best_size:
+        room = best_size - len(chosen)
+        kept = packed = options = 0
+        for v in order:
+            if not covered >> v & 1:
+                m = masks[v]
+                if not m & packed:
+                    if not kept:  # the branching vertex
+                        options = m
+                    packed |= m
+                    kept += 1
+                    if kept >= room:
+                        break
+        if kept >= room:
             continue
-        # smallest closed neighborhood among uncovered vertices, lowest index first
-        branch_vertex = -1
-        branch_options = n + 2
-        for v, m in enumerate(masks):
-            if uncovered >> v & 1 and m.bit_count() < branch_options:
-                branch_options = m.bit_count()
-                branch_vertex = v
-        options = masks[branch_vertex]
-        while options:  # the members of N[branch_vertex], in decreasing order
+        while options:  # the members of N[branch vertex], in decreasing order
             u = options.bit_length() - 1
-            stack.append((covered | masks[u], (*chosen, u)))
+            child = covered | masks[u]
+            # a child that leaves a vertex uncovered keeps a packing of at
+            # least one, so with room <= 2 only a dominating child can win
+            if room > 2 or child == full:
+                stack.append((child, (*chosen, u)))
             options ^= 1 << u
     return DominationResult(gamma=best_size, witness=best_set)
 

@@ -58,6 +58,14 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
+def shuffled_random_tree(n: int, seed: int) -> Graph:
+    """A random recursive tree whose vertex labels are shuffled first."""
+    rng = random.Random(seed)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph.from_edges(n, [(labels[rng.randrange(v)], labels[v]) for v in range(1, n)])
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

@@ -107,6 +107,18 @@ class TestTripleBound:
         assert c.holds is None and not c.equality
 
 
+def _equalities_by_combinations(gamma, dm):
+    """Plain reference: every triple, in combinations order, whose three
+    distances sum to 6*gamma, with its mod-3 flag."""
+    d = dm.d
+    expected = []
+    for i, j, k in combinations(range(dm.n), 3):
+        dists = (d[i][j], d[i][k], d[j][k])
+        if sum(dists) == 6 * gamma:
+            expected.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
+    return tuple(expected)
+
+
 class TestTripleEqualityAnalysis:
     def test_star(self):
         found = triple_equality_analysis(1, _dm(star_graph(3)))
@@ -127,9 +139,34 @@ class TestTripleEqualityAnalysis:
     @pytest.mark.parametrize("g, gamma", [
         (path_graph(2), 0),  # K2: no triple at all
         (path_graph(3), -1),  # every triple sum is positive
-    ], ids=["K2", "P3"])
+        (complete_graph(8), 0),  # bytes.find takes no value below 0 ...
+        (path_graph(8), -1),  # ... so the packed path stops before it
+        (path_graph(9), -1),  # the scan, above the packed orders
+    ], ids=["K2", "P3", "K8", "P8", "P9"])
     def test_nonpositive_gamma_finds_none(self, g, gamma):
         assert triple_equality_analysis(gamma, _dm(g)) == ()
+
+    def test_star_of_seven_leaves(self):
+        # G??FwC is K_{1,7}: every one of its C(7, 3) leaf triples attains 6
+        g = parse_graph6("G??FwC")
+        found = triple_equality_analysis(1, _dm(g))
+        assert len(found) == 35
+        assert found == _equalities_by_combinations(1, _dm(g))
+        assert all(t.dists == (2, 2, 2) and t.mod3_ok for t in found)
+
+    def test_every_fixture_graph_at_every_reachable_gamma(self, corpus):
+        # every gamma with 3 <= 6*gamma <= 3*diam, not only the true one, so
+        # the packed search meets many hits and many mod-3 failures
+        hits = failures = 0
+        for n in range(2, 9):
+            for g in corpus(n):
+                dm = _dm(g)
+                for gamma in range(1, dm.diam // 2 + 1):
+                    found = triple_equality_analysis(gamma, dm)
+                    assert found == _equalities_by_combinations(gamma, dm), (encode_graph6(g), gamma)
+                    hits += len(found)
+                    failures += sum(not t.mod3_ok for t in found)
+        assert hits > failures > 0
 
     @pytest.mark.parametrize("g, gamma, count", [
         (spider(1, 1, 1, 1, 1), 1, 10),  # K_{1,5}: every leaf triple
@@ -144,16 +181,11 @@ class TestTripleEqualityAnalysis:
         assert len(found) == count
         assert all(sum(t.dists) == 6 * gamma for t in found)
 
-    @given(connected_graphs(), st.integers(-1, 4))
+    @given(connected_graphs(max_n=11), st.integers(-1, 4))
     def test_matches_combinations_scan(self, g, gamma):
+        # orders up to 8 read the packed bytes, larger ones scan
         dm = _dm(g)
-        d = dm.d
-        expected = []
-        for i, j, k in combinations(range(g.n), 3):
-            dists = (d[i][j], d[i][k], d[j][k])
-            if sum(dists) == 6 * gamma:
-                expected.append(TripleEquality((i, j, k), dists, all(x % 3 == 2 for x in dists)))
-        assert triple_equality_analysis(gamma, dm) == tuple(expected)
+        assert triple_equality_analysis(gamma, dm) == _equalities_by_combinations(gamma, dm)
 
 
 class TestRSubsetBound:

@@ -314,6 +314,6 @@ class TestDistanceSummary:
         _summary_matches_scans(g)
         assert all_pairs_distances(g).boundary_info == (boundary, r_ecc, z)
 
-    @given(connected_graphs(max_n=12))
+    @given(connected_graphs(max_n=20))
     def test_random_graphs(self, g):
         _summary_matches_scans(g)

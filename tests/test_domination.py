@@ -1,4 +1,7 @@
+import hashlib
+import json
 import sys
+import time
 from itertools import combinations
 from math import ceil
 
@@ -13,8 +16,9 @@ from domdist.domination import (
     is_dominating_set,
 )
 from domdist.errors import TooLarge, VertexOutOfRange
-from domdist.graphs import Graph
+from domdist.graphs import Graph, parse_edgelist
 from domdist.harness import COUNTEREXAMPLE_EDGES
+from perfbench.inputs import large_mixed_blocks
 
 from conftest import connected_graphs
 from graphutil import (
@@ -23,9 +27,15 @@ from graphutil import (
     grid_graph,
     path_graph,
     random_tree,
+    shuffled_random_tree,
     spider,
     star_graph,
 )
+
+# sha256 of the compact JSON list of [gamma, witness] over the 40 large-mixed
+# graphs of seed 11, recorded from the search with the counting bound
+LARGE_MIXED_SEED11_GAMMA_SHA256 = (
+    "ce46ac12f648cfe0993dc34abc7d7f426eb433dc50e2f3d15a51d11d2366c3c1")
 
 
 class TestIsDominatingSet:
@@ -83,6 +93,23 @@ class TestGammaExact:
     ], ids=["grid4x5", "grid5x6", "spider444", "tree40"])
     def test_witness_pinned_above_n8(self, build, witness):
         assert gamma_exact(build()).witness == witness
+
+    def test_large_mixed_witnesses_pinned(self):
+        blocks, _ = large_mixed_blocks(11)
+        solved = [gamma_exact(parse_edgelist(block)) for block in blocks]
+        text = json.dumps([[r.gamma, list(r.witness)] for r in solved], separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == LARGE_MIXED_SEED11_GAMMA_SHA256
+
+    def test_shuffled_random_tree_62_is_fast(self):
+        # a search cut by a counting bound took 43-61 s on this tree; a tree
+        # has a 2-packing as large as gamma (Meir & Moon), so packing cuts early
+        g = shuffled_random_tree(62, seed=1)
+        start = time.perf_counter()
+        res = gamma_exact(g)
+        assert time.perf_counter() - start < 1.0
+        assert res == DominationResult(24, (3, 4, 7, 8, 10, 11, 12, 14, 16, 18, 20, 22, 23,
+                                            24, 25, 27, 28, 30, 33, 34, 35, 41, 42, 44))
+        assert is_dominating_set(g, res.witness)
 
     def test_depth_not_bounded_by_recursion_limit(self):
         g = spider(*[2] * 10)  # each leg needs its own dominator: gamma = 10
@@ -170,7 +197,8 @@ class TestEnumerateMinSets:
 
 
 class TestSolverAgainstOracle:
-    @given(connected_graphs())
+    @given(connected_graphs(max_n=12))
+    @settings(deadline=None)
     def test_oracle_equivalence(self, g):
         assert gamma_exact(g).gamma == gamma_bruteforce_oracle(g).gamma
 
