@@ -2,16 +2,19 @@
 
 all_pairs_distances builds only what the bounds read: the distance rows,
 the pair distances in the layout of the packed r-subset tables, W(G), the
-first diametral pair, and the boundary with its set eccentricity.  The set
-eccentricity ecc(B) comes from one BFS over the closed masks that starts
-from every boundary vertex at once: ecc(B) is the number of levels after
-the first, and its witness the lowest vertex of the last level.  It is the
-largest entry of the column minimum of the boundary rows, and the lowest
-vertex holding it, without reading the rows; when B is every vertex, the
-BFS stops at once with ecc(B) = 0 and witness 0.
+first diametral pair, and the boundary with its set eccentricity.  The
+boundary B is computed in one place, all_pairs_distances, for every order:
+the vertices whose row holds the diameter.  The set eccentricity ecc(B)
+comes from one BFS over the closed masks that starts from every boundary
+vertex at once, one graphs._reach level step per level but the last:
+ecc(B) is the number of levels after the first, and its witness the lowest
+vertex of the last level.  It is the largest entry of the column minimum
+of the boundary rows, and the lowest vertex holding it, without reading
+the rows; when B is every vertex, the BFS stops at once with ecc(B) = 0
+and witness 0.
 
-Two kernels give the rows, the pair distances, the diameter and the
-boundary; all_pairs_distances picks one by the order alone:
+Two kernels give the rows, the pair distances and the diameter, and
+nothing else; all_pairs_distances picks one by the order alone:
 
 - n <= graphs._BYTE_MAX_N = 8, where every closed mask fits in one byte:
   _matrix_distances holds the ball of radius k around every vertex as one
@@ -20,13 +23,14 @@ boundary; all_pairs_distances picks one by the order alone:
   int.  The closed masks are spread to bytes through one 256-entry table,
   _SPREAD.  The distances are the sum of the balls' complements, read out
   as one bytes object: the rows by one zip, the pair distances by one
-  per-order itemgetter.  The boundary is the rows that hold the diameter.
+  per-order itemgetter.
 - n > 8: _bfs_distances runs a BFS from every source and reads each
-  level one set bit at a time.  Each eccentricity is the depth its BFS
-  ends at.  The matrix is kept off these orders: each of its radius steps
-  costs n operations on ints of n*n bytes, and a version of it for any
-  order ran 1.3 to 1.8 times as long as the BFS at n = 12 and 16, and 4.6
-  to 9.4 times at n = 62, on random trees and sparse random graphs.
+  level one set bit at a time, writing each vertex's depth as it goes.
+  The diameter is the deepest level any BFS ends at.  The matrix is kept
+  off these orders: each of its radius steps costs n operations on ints
+  of n*n bytes, and a version of it for any order ran 1.3 to 1.8 times as
+  long as the BFS at n = 12 and 16, and 4.6 to 9.4 times at n = 62, on
+  random trees and sparse random graphs.
 
 Rows are tuples of ints from both kernels, so a distance of 256 or more is
 held like any other.
@@ -45,7 +49,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .graphs import _BYTE_MAX_N, Graph
+from .graphs import _BYTE_MAX_N, Graph, _reach
 
 
 class DistanceMatrix(NamedTuple):
@@ -84,8 +88,9 @@ class BoundaryInfo(NamedTuple):
 _SPREAD = tuple(int.from_bytes(bytes(m >> i & 1 for i in range(8)), "little")
                 for m in range(256))
 
-# rows, pair_dists, diam and boundary, as DistanceMatrix and BoundaryInfo hold them
-_Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, tuple[int, ...]]
+# rows, pair_dists and diam, as DistanceMatrix holds them; both kernels
+# return these three, and all_pairs_distances derives the rest
+_Distances = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
@@ -94,15 +99,16 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
     Orders up to _BYTE_MAX_N take _matrix_distances, larger ones
     _bfs_distances; both give the rows as tuples of ints, the pair
-    distances, the diameter and the boundary.  Connectivity is guaranteed
-    by Graph.
+    distances and the diameter.  The boundary is the rows that hold the
+    diameter, for both.  Connectivity is guaranteed by Graph.
     """
     n = g.n
     masks = g.closed_masks
     if n <= _BYTE_MAX_N:
-        rows, pair_dists, diam, boundary = _matrix_distances(masks, n)
+        rows, pair_dists, diam = _matrix_distances(masks, n)
     else:
-        rows, pair_dists, diam, boundary = _bfs_distances(masks, n)
+        rows, pair_dists, diam = _bfs_distances(masks, n)
+    boundary = tuple([v for v, row in enumerate(rows) if diam in row])
     # the lowest boundary vertex u starts the first diametral pair, and its
     # first partner v is above u, since a partner is a boundary vertex too
     u = boundary[0]
@@ -121,12 +127,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         seen |= level
         r_ecc += 1
         if seen != full:  # the last level reaches no new vertex
-            reach = 0
-            rest = level
-            while rest:
-                low = rest & -rest
-                reach |= masks[low.bit_length() - 1]
-                rest ^= low
+            reach = _reach(masks, level)
     z = (level & -level).bit_length() - 1
     # every field in order: n, d, diam, wiener, pair_dists, diametral_pair,
     # boundary_info
@@ -136,16 +137,18 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 
 def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
-    """Rows, pair distances, diameter and boundary by a BFS from every source.
+    """Rows, pair distances and diameter by a BFS from every source.
 
     Each BFS expands one level per pass: the next level is the union of
     this level's closed neighborhoods minus every vertex already reached,
     and the depth of the last non-empty level is the source's eccentricity.
-    A level's vertices are read one set bit at a time, as
-    graphs._require_connected reads them.
+    A level's vertices are read one set bit at a time, as graphs._reach
+    reads them, but in a loop of its own that also writes each vertex's
+    depth: calling _reach would walk every level a second time for the
+    depths.
     """
     rows = []
-    ecc = []
+    diam = 0
     pairs: list[int] = []
     for source in range(n):
         dist = [0] * n
@@ -165,16 +168,15 @@ def _bfs_distances(masks: tuple[int, ...], n: int) -> _Distances:
             depth += 1
             seen |= level
         rows.append(tuple(dist))
-        ecc.append(depth)
+        if depth > diam:
+            diam = depth
         pairs += dist[source + 1:]
-    diam = max(ecc)
-    return (tuple(rows), tuple(pairs), diam,
-            tuple([v for v, e in enumerate(ecc) if e == diam]))
+    return tuple(rows), tuple(pairs), diam
 
 
 def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
-    """Rows, pair distances, diameter and boundary of an order
-    n <= _BYTE_MAX_N from the balls B_k, all n rows at once.
+    """Rows, pair distances and diameter of an order n <= _BYTE_MAX_N
+    from the balls B_k, all n rows at once.
 
     B_k is one int of n*n bytes, row v at byte v*n, whose byte (v, u) is
     1 iff d(v, u) <= k.  B_1 is the closed masks spread to bytes, and
@@ -184,7 +186,6 @@ def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
     d(v, u) counts the k with byte (v, u) of B_k at 0, so the distances
     are the sum of ONES - B_k over k < diam, where ONES has every byte 1
     and B_diam = ONES.  Each distance is at most n - 1, so no byte carries.
-    The boundary is the rows that hold diam.
     """
     ones, low, dist, spread_rows, upper = _matrix_table(n)
     ball = int.from_bytes(b"".join([spread_rows[m] for m in masks]), "little")
@@ -200,8 +201,7 @@ def _matrix_distances(masks: tuple[int, ...], n: int) -> _Distances:
         ball = step
         diam += 1
     flat = dist.to_bytes(n * n, "little")
-    rows = tuple(zip(*[iter(flat)] * n))
-    return rows, upper(flat), diam, tuple([v for v, row in enumerate(rows) if diam in row])
+    return tuple(zip(*[iter(flat)] * n)), upper(flat), diam
 
 
 @cache

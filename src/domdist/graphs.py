@@ -14,6 +14,13 @@ mask at its own bit and set each pair in both masks, so range, own bits and
 symmetry hold by construction; they build the Graph through
 _from_pairwise_masks, which checks connectivity only.
 
+_reach is the one level step of a breadth-first search over the closed
+masks: the union of the masks of a vertex set, read one set bit at a time.
+_require_connected calls it once per level from vertex 0 and stops as soon
+as every vertex is seen, and distance.all_pairs_distances calls it for the
+BFS from the boundary that gives ecc(B).  distance._bfs_distances keeps a
+loop of its own, since it also writes each vertex's depth as it reads it.
+
 graph6 (short form, n <= 62) is decoded straight into the masks.  The body
 is read as one integer for the checks.  Up to n = 8, where every mask fits
 in one byte, the masks are one int of n bytes: each body character ORs in
@@ -169,20 +176,28 @@ class Graph:
                 raise VertexOutOfRange(f"vertex {v!r} outside 0..{n - 1}")
 
 
+def _reach(masks: Sequence[int], level: int) -> int:
+    """The union of the closed masks of the vertices in level, read one
+    set bit at a time: one level step of a breadth-first search."""
+    reach = 0
+    while level:
+        low = level & -level
+        reach |= masks[low.bit_length() - 1]
+        level ^= low
+    return reach
+
+
 def _require_connected(n: int, masks: Sequence[int]) -> None:
     """Raise Disconnected unless a breadth-first search from vertex 0,
-    one level per pass, reaches all n vertices."""
+    one level per pass, reaches all n vertices; it stops as soon as it
+    has, so the last level is never walked."""
+    full = (1 << n) - 1
     seen = level = 1
-    while level:
-        reach = 0
-        while level:
-            low = level & -level
-            reach |= masks[low.bit_length() - 1]
-            level ^= low
-        level = reach & ~seen
+    while seen != full:
+        level = _reach(masks, level) & ~seen
+        if not level:
+            raise Disconnected("graph is not connected")
         seen |= level
-    if seen != (1 << n) - 1:
-        raise Disconnected("graph is not connected")
 
 
 def _from_pairwise_masks(cls: type[Graph], n: int, masks: list[int]) -> Graph:

@@ -66,6 +66,14 @@ def shuffled_random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, [(labels[rng.randrange(v)], labels[v]) for v in range(1, n)])
 
 
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
+    """A random recursive tree plus every other pair with probability p."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges.update(e for e in combinations(range(n), 2) if rng.random() < p)
+    return Graph.from_edges(n, edges)
+
+
 def to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

@@ -448,15 +448,29 @@ class TestCounterexample:
         assert "claim refuted" in out
 
 
+def _python_m_domdist(*argv):
+    """``python -m domdist *argv`` in a fresh interpreter, through
+    __main__.py and cli.entrypoint."""
+    src = str(Path(domdist.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "domdist", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestUsage:
     def test_python_dash_m(self):
-        src = str(Path(domdist.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-m", "domdist", "--help"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = _python_m_domdist("--help")
         assert done.returncode == 0, done.stderr
         assert "usage: domdist" in done.stdout
+
+    def test_python_dash_m_exits_with_mains_code(self):
+        done = _python_m_domdist("counterexample")
+        assert done.returncode == 0, done.stderr
+        assert "claim refuted: 3 > 1 = True" in done.stdout
+        done = _python_m_domdist("analyze", "?")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: graph order 0 < 2\n")
 
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:

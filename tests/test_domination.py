@@ -19,6 +19,7 @@ from domdist.errors import TooLarge, VertexOutOfRange
 from domdist.graphs import Graph, parse_edgelist
 from domdist.harness import COUNTEREXAMPLE_EDGES
 from perfbench.inputs import large_mixed_blocks
+from perfbench.workloads import ilp_gamma
 
 from conftest import connected_graphs
 from graphutil import (
@@ -26,10 +27,12 @@ from graphutil import (
     cycle_graph,
     grid_graph,
     path_graph,
+    random_connected_graph,
     random_tree,
     shuffled_random_tree,
     spider,
     star_graph,
+    to_networkx,
 )
 
 # sha256 of the compact JSON list of [gamma, witness] over the 40 large-mixed
@@ -201,6 +204,27 @@ class TestSolverAgainstOracle:
     @settings(deadline=None)
     def test_oracle_equivalence(self, g):
         assert gamma_exact(g).gamma == gamma_bruteforce_oracle(g).gamma
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_bruteforce_oracle_above_twelve(self, n):
+        # sparse to dense, and trees, whose gamma is the largest at each n
+        seeds = range(3 * n, 3 * n + 3)
+        graphs = [random_connected_graph(n, p, seed) for p in (0.05, 0.1, 0.2, 0.35)
+                  for seed in seeds]
+        for g in graphs + [shuffled_random_tree(n, seed) for seed in seeds]:
+            res = gamma_exact(g)
+            assert res.gamma == gamma_bruteforce_oracle(g).gamma
+            assert len(res.witness) == res.gamma and is_dominating_set(g, res.witness)
+
+    def test_ilp_oracle_on_large_mixed(self):
+        # n = 20-60: a set-cover ILP (scipy's HiGHS) on the networkx adjacency
+        blocks, _ = large_mixed_blocks(11)
+        for block in blocks:
+            g = parse_edgelist(block)
+            h = to_networkx(g)
+            res = gamma_exact(g)
+            assert res.gamma == ilp_gamma([set(h[v]) for v in range(g.n)]), block.split("\n")[0]
+            assert len(res.witness) == res.gamma and is_dominating_set(g, res.witness)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=60)

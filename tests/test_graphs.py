@@ -461,6 +461,70 @@ class TestValidatedByConstruction:
                 build()
 
 
+def _closed_masks(n, edges):
+    masks = [1 << v for v in range(n)]
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _as_networkx(n, edges):
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+def _connectivity_by_constructor(n, edges):
+    """For each of the three constructors, whether it builds the graph
+    (True) or raises Disconnected (False)."""
+    line = nx.to_graph6_bytes(_as_networkx(n, edges), header=False).decode().strip()
+    built = []
+    for build in (lambda: Graph(n, _closed_masks(n, edges)),
+                  lambda: Graph.from_edges(n, edges),
+                  lambda: parse_graph6(line)):
+        try:
+            build()
+        except Disconnected:
+            built.append(False)
+        else:
+            built.append(True)
+    return built
+
+
+class TestEarlyStop:
+    """_require_connected stops as soon as its BFS from vertex 0 has seen
+    every vertex; every constructor still raises Disconnected exactly on
+    the disconnected graphs."""
+
+    @given(connected_edge_lists(2, 20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_when_networkx_says_disconnected(self, drawn, data):
+        # any edge set is a connected graph's edges less some of them; a
+        # few dropped edges leave n - 1 or more, so the BFS must decide
+        n, edges = drawn
+        dropped = data.draw(st.sets(st.sampled_from(edges)))
+        kept = [e for e in edges if e not in dropped]
+        connected = nx.is_connected(_as_networkx(n, kept))
+        assert _connectivity_by_constructor(n, kept) == [connected] * 3
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 62])
+    @pytest.mark.parametrize("cut", ["lowest", "highest"])
+    def test_one_vertex_cut_off(self, n, cut):
+        # the rest is a path or a cycle; the cycle has n - 1 edges, so the
+        # edge count alone cannot reject it, and the BFS must
+        rest = range(1, n) if cut == "lowest" else range(n - 1)
+        path = list(zip(rest, rest[1:]))
+        cycle = path + [(rest[0], rest[-1])] if n > 3 else path
+        for edges in (path, cycle):
+            assert _connectivity_by_constructor(n, edges) == [False] * 3
+        # joined at the far end of the path, the graph is a path with 0 at
+        # one end, so the BFS from 0 needs every level to see all n
+        far = (rest[-1], 0) if cut == "lowest" else (rest[-1], n - 1)
+        assert _connectivity_by_constructor(n, path + [far]) == [True] * 3
+
+
 class TestEncodeGraph6:
     def test_known_encodings(self):
         assert encode_graph6(path_graph(2)) == "A_"
