@@ -18,22 +18,29 @@ r-subsets and the first subset attaining it in itertools.combinations
 order, for the triple bound and every r.  At the orders up to
 graphs._BYTE_MAX_N = 8, the one-byte order of the graph6 tables and the
 distance matrix, it reads every subset's sum from one byte of one
-integer.  No sum exceeds C(r, 2)*diam, at most C(8, 2)*7 = 196, so it
-searches r's bytes for each value from there down: the first value found
-is the maximum, and the subset at its first byte, which the table keeps
-next to r's bytes, is the witness.  At every larger order it scans the
-subsets in that order.  One product per graph packs the sums of every r
-in 3..n: the pair distances DistanceMatrix.pair_dists times a cached
-table per order n, laid out r by r in that order; the pairs at distance
-1 are read from the sum of the table's ints, which the table keeps as its
-last field, so the product touches only the pairs at distance 2 or more.
-_packed_product keeps the last product in a one-entry memo keyed on the
-order and the pair distances, so the triple bound and every r-subset
-bound of a report, which run back to back, read the same bytes.
+integer, at most C(8, 2)*7 = 196.  It searches r's bytes in place for
+each value from a start down: the first value found is the maximum, and
+the subset at its first byte, which the table keeps next to r's bytes, is
+the witness.  The mean pair distance of an r-subset is the mean of its
+q-subsets' means, so S_r*C(q, 2) <= S_q*C(r, 2) for q < r, with S_2 the
+diameter, and the start is C(r, 2)*S_q/C(q, 2), rounded down, for the
+largest q whose maximum S_q is already known.  At every larger order it
+scans the subsets in that order.  One product per graph packs the sums of
+every r in 3..n: the pair distances DistanceMatrix.pair_dists times a
+cached table per order n, laid out r by r in that order; the pairs at
+distance 1 are read from the sum of the table's ints, which the table
+keeps as its last field, so the product touches only the pairs at
+distance 2 or more.  _packed_product keeps the last product in a
+one-entry memo keyed on the order and the pair distances, with the
+maxima S_q found on its bytes so far, so the triple bound and every
+r-subset bound of a report, which run back to back, read the same bytes,
+and each search starts from the one before it: at n = 8 the r = 4 and
+r = 5 searches probe 2.4 values each, not 4.8 and 9.1 from C(r, 2)*diam.
 triple_equality_analysis finds the triples that attain 6*gamma, and only
 when 6*gamma <= 3*diam: up to order _BYTE_MAX_N it finds every byte equal
-to 6*gamma in r = 3's bytes of the same packed product, in the order of
-the triples, and at every larger order it scans the triples.
+to 6*gamma in r = 3's bytes of the same packed product, in place and in
+the order of the triples, and at every larger order it scans the
+triples.
 
 BoundReport.jsonl_line is the one serializer: it writes each report as
 one line of sorted-key compact JSON, with the reduced fractions, the small
@@ -167,30 +174,42 @@ def _max_pair_sum(dm: DistanceMatrix, r: int) -> tuple[int, tuple[int, ...]]:
     the lexicographically first r-subset attaining it.
 
     Up to order _BYTE_MAX_N the sums are r's bytes of the packed product
-    (see _packed_product).  No pair distance exceeds diam, so no sum
-    exceeds C(r, 2)*diam, which is at most 196 there: the byte values are
-    searched from there down, and the first one found is the maximum, at
-    the byte of the first subset holding it, which is the witness.  Every
-    sum is at least C(r, 2), so the search ends there at the latest.  At
-    every larger order the subsets are scanned in that order.
+    (see _packed_product), searched in place from a start down: the first
+    value found is the maximum, at the byte of the first subset holding it,
+    which is the witness.  The start is C(r, 2)*S_q/C(q, 2), rounded down,
+    for the largest q <= r whose maximum S_q the product's memo holds, or
+    C(r, 2)*diam, from S_2 = diam: an r-subset's mean pair distance is the
+    mean of its q-subsets' means, none above S_q/C(q, 2), so no sum exceeds
+    the start.  The memo holds only maxima found on its own bytes, so no
+    caller can hand a search a start.  Every sum is at least C(r, 2), so
+    the search ends there at the latest.  At every larger order the subsets
+    are scanned in that order.
     """
     n = dm.n
     if n > _BYTE_MAX_N:
         return _scan_pair_sums(dm.d, r)
     span, subsets = _packed_table(n)[1][r]
-    sums = _packed_product(n, dm.pair_dists)[span]
-    best = r * (r - 1) // 2 * dm.diam
-    while (at := sums.find(best)) < 0:
+    sums, maxima = _packed_product(n, dm.pair_dists)
+    q = r
+    while q > 2 and not maxima[q]:
+        q -= 1
+    best = r * (r - 1) * (maxima[q] if q > 2 else dm.diam) // (q * (q - 1))
+    lo = span.start
+    hi = span.stop
+    while (at := sums.find(best, lo, hi)) < 0:
         best -= 1
-    return best, subsets[at]
+    maxima[r] = best
+    return best, subsets[at - lo]
 
 
 @lru_cache(maxsize=1)
-def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
+def _packed_product(n: int, pair_dists: tuple[int, ...]) -> tuple[bytes, list[int]]:
     """S(X) for every r-subset X of every r in 3..n, at an order n up to
     _BYTE_MAX_N, one byte each, r by r in lexicographic order: byte f of
     sum(d(p) * fields[p]) over the vertex pairs p, with the table of
-    _packed_table(n), is the sum of the subset at byte f.
+    _packed_table(n), is the sum of the subset at byte f.  Next to the
+    bytes, the maxima S_q that _max_pair_sum has found on them, indexed by
+    q, 0 where none is found yet.
 
     Every distance is at least 1, so the sum is the table's base, the sum
     of every field, plus (d(p) - 1) * fields[p] over the pairs at distance
@@ -200,14 +219,15 @@ def _packed_product(n: int, pair_dists: tuple[int, ...]) -> bytes:
 
     The memo keeps one product, keyed on the pair distances themselves, so
     the triple bound and each r-subset bound of one report, which ask for
-    it back to back, compute it once, and no caller reads another graph's
-    bytes.
+    it back to back, compute it once, each search starts from the maxima
+    the ones before it found, and no caller reads another graph's bytes or
+    maxima.
     """
     fields, _, size, total = _packed_table(n)
     for d, field in zip(pair_dists, fields):
         if d > 1:
             total += field if d == 2 else (d - 1) * field
-    return total.to_bytes(size, "little")
+    return total.to_bytes(size, "little"), [0] * (n + 1)
 
 
 @cache
@@ -309,14 +329,16 @@ def triple_equality_analysis(gamma: int, dm: DistanceMatrix) -> tuple[TripleEqua
         if target < 3:
             return ()
         span, triples = _packed_table(n)[1][3]
-        sums = _packed_product(n, dm.pair_dists)[span]
-        at = sums.find(target)
+        sums = _packed_product(n, dm.pair_dists)[0]
+        lo = span.start
+        hi = span.stop
+        at = sums.find(target, lo, hi)
         while at >= 0:
-            i, j, k = triple = triples[at]
+            i, j, k = triple = triples[at - lo]
             dists = dij, dik, djk = d[i][j], d[i][k], d[j][k]
             found.append(_record(TripleEquality, (
                 triple, dists, dij % 3 == dik % 3 == djk % 3 == 2)))
-            at = sums.find(target, at + 1)
+            at = sums.find(target, at + 1, hi)
         return tuple(found)
     for i in range(n - 2):
         di = d[i]

@@ -82,8 +82,11 @@ def gamma_exact(g: Graph) -> DominationResult:
     chosen vertex dominates any, so a branch is cut as soon as
     |chosen| + kept reaches the incumbent.  The bound never cuts a branch
     that holds a smaller set, so the witness is the first minimum set in
-    preorder, or the greedy set when that is already minimum.  The search
-    is a loop over an explicit stack, so its depth is not bounded by the
+    preorder, or the greedy set when that is already minimum.  A greedy set
+    of at most 2 vertices is returned without a search: greedy first takes
+    a vertex of the largest closed degree, which dominates every vertex
+    when gamma = 1, so a greedy set of 2 proves gamma = 2.  The search is a
+    loop over an explicit stack, so its depth is not bounded by the
     recursion limit.
     """
     if g._gamma is None:
@@ -99,6 +102,10 @@ def _branch_and_bound(g: Graph) -> DominationResult:
     greedy = _greedy_cover(n, masks, full)
     best_size = len(greedy)
     best_set = tuple(sorted(greedy))
+    if best_size <= 2:
+        # greedy first takes a vertex of the largest closed degree, so it
+        # ends after one vertex when gamma = 1: a cover of 2 is minimum too
+        return DominationResult(gamma=best_size, witness=best_set)
 
     # the vertices by closed degree, ties to the lowest index (sorted is
     # stable): the first uncovered one is the branching vertex, and the

@@ -2,12 +2,13 @@
 
 A corpus is a file of graph6 lines (one graph per line) or, with the
 edgelist format, blank-line-separated edge-list blocks.  iter_corpus is the
-one reader of graph files; every CLI command reads through it, and
-run_corpus_verify and scan_tight_instances build each graph's report in
-their own loop over it.  Each looks iter_corpus up by its module-level name
-when called, so a caller may wrap it, say to time each entry.  Reports are
-produced in input order, so repeated runs over the same file are
-byte-identical.  Bytes that do not decode are read as surrogate escapes,
+one reader of graph files; every CLI command reads through it.
+run_corpus_verify builds each graph's report in one loop over it, and
+scan_tight_instances reads run_corpus_verify's summary instead of a loop
+of its own.  run_corpus_verify looks iter_corpus up by its module-level
+name when called, so a caller may wrap it, say to time each entry.
+Reports are produced in input order, so repeated runs over the same file
+are byte-identical.  Bytes that do not decode are read as surrogate escapes,
 which the parsers reject, so such an entry is malformed like any other.
 A graph6 line is read by graphs._graph6_token, the rule parse_graph6
 applies too: blank and header-only lines are no entry.  An edge-list line

@@ -385,9 +385,9 @@ class TestEveryPackedTableAboveSeven:
 
 def _max_and_index(dm, r):
     """The packed sums' maximum by max() and its first byte by index(): what
-    _max_pair_sum's search from C(r, 2)*diam down must find."""
+    _max_pair_sum's search of r's bytes must find."""
     span, subsets = bounds._packed_table(dm.n)[1][r]
-    sums = bounds._packed_product(dm.n, dm.pair_dists)[span]
+    sums = bounds._packed_product(dm.n, dm.pair_dists)[0][span]
     best = max(sums)
     return best, subsets[sums.index(best)]
 
@@ -410,6 +410,74 @@ class TestPackedByteSearch:
                       path_graph(n), complete_graph(n)):
                 dm = _dm(g)
                 assert _max_pair_sum(dm, r) == _max_and_index(dm, r), (g, r)
+
+
+def _maxima(dm):
+    """S_q for q = 2..min(n, 8): the diameter, then _max_pair_sum's values."""
+    found = {2: dm.diam}
+    for r in range(3, min(dm.n, 8) + 1):
+        found[r] = _max_pair_sum(dm, r)[0]
+    return found
+
+
+def _assert_averaging(found):
+    # an r-subset's mean pair distance is the mean of its q-subsets' means
+    for q, r in combinations(sorted(found), 2):
+        assert found[r] * math.comb(q, 2) <= found[q] * math.comb(r, 2), (q, r)
+
+
+class TestSearchStart:
+    """_max_pair_sum starts r's search at C(r, 2)*S_q/C(q, 2) for the
+    largest q <= r whose maximum its memo holds: the averaging identity
+    S_r*C(q, 2) <= S_q*C(r, 2), where it is tight, and the call orders."""
+
+    def test_averaging_identity_on_the_packed_side(self, corpus):
+        for n in range(3, bounds._BYTE_MAX_N + 1):
+            for g in corpus(n):
+                _assert_averaging(_maxima(_dm(g)))
+
+    @given(connected_graphs(9, 11))
+    @settings(max_examples=40, deadline=None)
+    def test_averaging_identity_on_the_scan_side(self, g):
+        assert g.n > bounds._BYTE_MAX_N
+        _assert_averaging(_maxima(_dm(g)))
+
+    @pytest.mark.parametrize("g, last", [(complete_graph(8), 8), (star_graph(7), 7)],
+                             ids=["K8", "K1_7"])
+    def test_start_attained(self, g, last):
+        """K_8's sums are all C(r, 2) and K_{1,7}'s leaf sets reach 2*C(r, 2)
+        up to r = 7, so each maximum is the start its search takes from the
+        one before: a start one lower misses it.  At r = 8 the star's one
+        subset holds the centre, and S_8 = 49 is below the start 56."""
+        dm = _dm(g)
+        bounds._packed_product.cache_clear()
+        found = {2: dm.diam}
+        for r in range(3, 9):
+            found[r], subset = _max_pair_sum(dm, r)
+            assert (found[r], subset) == _first_max_pair_sum(dm, r), r
+            start = r * (r - 1) * found[r - 1] // ((r - 1) * (r - 2))
+            assert found[r] == start if r <= last else found[r] < start, r
+        assert last == 8 or found[8] == 49
+
+    def test_any_call_order(self, corpus):
+        """r = 3..n in increasing, decreasing and shuffled order, each from
+        a fresh memo, then shuffled with K_n's search of the same r in
+        between, whose maximum is the least of order n: each answer is the
+        plain enumeration's, value and witness."""
+        rng = random.Random(34)
+        for n in range(3, bounds._BYTE_MAX_N + 1):
+            other = _dm(complete_graph(n))
+            for g in corpus(n):
+                dm = _dm(g)
+                rs = list(range(3, n + 1))
+                expected = {r: _first_max_pair_sum(dm, r) for r in rs}
+                shuffled = rng.sample(rs, len(rs))
+                for order in (rs, rs[::-1], shuffled):
+                    bounds._packed_product.cache_clear()
+                    assert {r: _max_pair_sum(dm, r) for r in order} == expected, (g, order)
+                for r in shuffled:
+                    assert _max_pair_sum(other, r)[0] == math.comb(r, 2)
+                    assert _max_pair_sum(dm, r) == expected[r], (g, r)
 
 
 # imports every module of the package but __main__, then prints each

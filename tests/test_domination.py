@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from domdist.domination import (
     DominationResult,
+    _greedy_cover,
     enumerate_min_dominating_sets,
     gamma_bruteforce_oracle,
     gamma_exact,
@@ -225,6 +226,22 @@ class TestSolverAgainstOracle:
             res = gamma_exact(g)
             assert res.gamma == ilp_gamma([set(h[v]) for v in range(g.n)]), block.split("\n")[0]
             assert len(res.witness) == res.gamma and is_dominating_set(g, res.witness)
+
+    def test_ilp_oracle_on_dense_graphs(self):
+        # n = 21-62, above the brute-force oracle: dense enough that some
+        # greedy covers have 2 vertices, which the solver returns without a
+        # search, and others more, which it searches
+        greedy_sizes = []
+        for n in (21, 29, 37, 45, 53, 62):
+            for p in (0.3, 0.4, 0.5, 0.6):
+                g = random_connected_graph(n, p, seed=n * 10 + round(p * 10))
+                h = to_networkx(g)
+                res = gamma_exact(g)
+                assert res.gamma == ilp_gamma([set(h[v]) for v in range(n)]), (n, p)
+                assert len(res.witness) == res.gamma and is_dominating_set(g, res.witness)
+                greedy_sizes.append(len(_greedy_cover(n, g.closed_masks, (1 << n) - 1)))
+        assert len(greedy_sizes) == 24
+        assert min(greedy_sizes) <= 2 < max(greedy_sizes)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=60)
